@@ -9,11 +9,11 @@ single composite ones, experiment objectives, and a reproducible CLI harness.
 """
 
 from .geometry import FeasibleSet, NormPair, ProximalSetup, bregman, make_setup, project, prox_step
-from .oracles import (EstimatorError, NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator,
-                      default_p_star, sample_sphere)
-from .sliding import (Budgets, CompositeProblem, RestartConfig, ScheduleValues, SlidingSchedule,
-                      SolverAbort, build_schedule, mzosa_run, ps_procedure, schedule_values,
-                      suggest_r_delta, theoretical_bound, zosa_run)
+from .oracles import (Counters, EstimatorError, NoiseModel, NoisyZeroOrderOracle,
+                      SmoothingEstimator, default_p_star, sample_sphere)
+from .sliding import (Budgets, CompositeProblem, RestartConfig, SlidingSchedule, SolverAbort,
+                      build_schedule, mzosa_run, ps_procedure, suggest_r_delta,
+                      theoretical_bound, zosa_run)
 from .baselines import BaselineConfig, gd_run, zogd_run
 from .network import (Graph, GraphError, Laplacian, NetworkProblem, build_laplacian,
                       dual_bound_radius, lift_to_penalized, penalty_coefficient, read_edge_list)

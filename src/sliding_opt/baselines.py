@@ -110,7 +110,7 @@ def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_
                               SolverState(k=t, t=0, phase=0, x=x))
         x = project(problem.setup.feasible, target)
         reporter.update(x)
-        hit = budgets.exceeded(problem.zo_calls, problem.comm_rounds) if budgets else None
+        hit = budgets.exceeded(problem.counters) if budgets else None
         if t in marks or hit is not None or t == cfg.N_steps:
             _record(trace, problem, reporter.point(), t, 0, wall0, None,
                     SolverState(k=t, t=0, phase=0, x=x))
@@ -146,10 +146,6 @@ class _FullValueOracle:
         self.s = problem.f_oracle.s
         self.M = problem.f_oracle.M
         self.Delta = problem.f_oracle.Delta
-
-    @property
-    def call_counter(self):
-        return self.problem.f_oracle.call_counter
 
     def evaluate(self, x) -> float:
         return self.problem.f_oracle.evaluate(x) + self.problem.g_counted(x)

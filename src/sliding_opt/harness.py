@@ -12,7 +12,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -124,31 +124,35 @@ class RunConfig:
     reference_max_iter: int = 10 ** 6
 
 
-_INT_KEYS = {"seed", "n", "N", "phases", "N0", "max_zo_calls", "max_comm_rounds",
-             "N_horizon", "checkpoints", "m", "T_cap", "reference_max_iter"}
-_FLOAT_KEYS = {"max_wall_ms", "eps", "r", "Delta", "R", "L", "mu", "M_est",
-               "c_const", "C_const", "rho0", "l1", "bound_hint", "box_half",
-               "eta", "eta0", "eta_scale"}
-_BOOL_KEYS = {"with_bound"}
-_NONE_OK = {"N", "N0", "max_zo_calls", "max_comm_rounds", "max_wall_ms", "out_path",
-            "r", "edge_file", "R", "L", "M_est", "rho0", "l1", "bound_hint", "eta0"}
-_ALL_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+def _field_types() -> dict:
+    """Field name -> (value type, None allowed), read from the RunConfig annotations."""
+    out = {}
+    for name, hint in get_type_hints(RunConfig).items():
+        args = get_args(hint)
+        kind = next((a for a in args if a is not type(None)), hint)
+        out[name] = (kind, type(None) in args)
+    return out
+
+
+_FIELD_TYPES = _field_types()
 
 
 def _coerce(key: str, raw: str):
+    kind, none_ok = _FIELD_TYPES[key]
     raw = raw.strip()
-    if raw == "" or raw.lower() == "none":
-        if key in _NONE_OK:
-            return None
+    if none_ok and raw.lower() in ("", "none"):
+        return None
+    # 'none' is a value of a text field such as reference, not a missing one
+    if raw == "" or (kind is not str and raw.lower() == "none"):
         raise ConfigError(f"{key}: a value is required")
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected true/false, got '{raw}'")
-    if key in _INT_KEYS:
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
@@ -160,7 +164,7 @@ def _coerce(key: str, raw: str):
         if not val.is_integer():
             raise ConfigError(f"{key}: expected an integer, got '{raw}'")
         return int(val)
-    if key in _FLOAT_KEYS:
+    if kind is float:
         try:
             return float(raw)
         except ValueError:
@@ -201,7 +205,7 @@ def apply_overrides(mapping: dict, overrides) -> dict:
 def from_mapping(mapping: dict) -> RunConfig:
     cfg = RunConfig()
     for key, raw in mapping.items():
-        if key not in _ALL_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{key}: unknown config key")
         setattr(cfg, key, _coerce(key, raw))
     return cfg
@@ -304,15 +308,6 @@ class _Build:
     quiet_grad: Callable
     derived: dict = field(default_factory=dict)
     reference: dict = field(default_factory=dict)
-    net: NetworkProblem | None = None
-
-
-def _noise_model(cfg: RunConfig, dim: int, rng) -> NoiseModel:
-    if cfg.noise_kind == "zero" or cfg.Delta == 0.0:
-        return NoiseModel.zero()
-    if cfg.noise_kind == "uniform":
-        return NoiseModel.uniform(cfg.Delta, rng)
-    return NoiseModel.adversarial_sine(cfg.Delta, np.arange(1, dim + 1, dtype=float))
 
 
 def _build_synthetic(cfg: RunConfig) -> _Build:
@@ -349,7 +344,8 @@ def _build_smooth_lasso(cfg: RunConfig, inst, n: int, l1: float, L: float) -> _B
     M_f = l1 * math.sqrt(n)
     sugg = suggest_r_delta(cfg.eps, M_f, n, setup.D_X, default_p_star(norms, n))
     r = cfg.r if cfg.r is not None else sugg["r"]
-    noise = _noise_model(cfg, n, seed_stream(cfg.seed, "noise"))
+    noise = NoiseModel.build(cfg.noise_kind, cfg.Delta, np.arange(1, n + 1, dtype=float),
+                             seed_stream(cfg.seed, "noise"))
     oracle = NoisyZeroOrderOracle(inst.f_value, M=M_f, s=2.0 * r, noise=noise)
     est = SmoothingEstimator(oracle, r=r, n=n, norms=norms,
                              rng=seed_stream(cfg.seed, "sphere"))
@@ -409,14 +405,9 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
     M_lift = 1.0 / math.sqrt(m)
     sugg = suggest_r_delta(cfg.eps, M_lift, m * n, per_node.D_X * math.sqrt(m), 1.0)
     r = cfg.r if cfg.r is not None else sugg["r"]
-    noise_models = None
-    if cfg.noise_kind != "zero" and cfg.Delta > 0:
-        if cfg.noise_kind == "uniform":
-            noise_models = [NoiseModel.uniform(cfg.Delta, seed_stream(cfg.seed, "noise", i))
-                            for i in range(m)]
-        else:
-            noise_models = [NoiseModel.adversarial_sine(
-                cfg.Delta, (i + 1.0) * np.arange(1, n + 1, dtype=float)) for i in range(m)]
+    noise_models = [NoiseModel.build(cfg.noise_kind, cfg.Delta,
+                                     (i + 1.0) * np.arange(1, n + 1, dtype=float),
+                                     seed_stream(cfg.seed, "noise", i)) for i in range(m)]
     oracles = inst.make_node_oracles(s=2.0 * r, noise_models=noise_models)
     net = NetworkProblem(lap, n, oracles, R)
     reference = {}
@@ -436,7 +427,7 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
     return _Build(problem=problem, x0=inst.anchors.ravel().copy(), dim=m * n,
                   M_f=M_lift, L=net.L_penalty, mu=0.0, r=r, delta_max=sugg["delta_max"],
                   quiet_grad=(lambda x: 2.0 * R * net.apply_W_quiet(x)),
-                  derived=derived, reference=reference, net=net)
+                  derived=derived, reference=reference)
 
 
 _BUILDERS = {"synthetic": _build_synthetic, "nesterov": _build_nesterov,

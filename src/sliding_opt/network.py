@@ -7,12 +7,12 @@ application is one communication round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import FeasibleSet, NormPair, make_setup
-from .oracles import NoisyZeroOrderOracle, SmoothingEstimator, default_p_star
+from .oracles import Counters, SmoothingEstimator
 from .sliding import CompositeProblem
 
 # Relative threshold separating the zero eigenvalue from the connectivity eigenvalue.
@@ -164,8 +164,10 @@ def dual_bound_radius(M: float, m: int, lap: Laplacian) -> float:
 class NetworkProblem:
     """Per-node zero-order oracles coupled by a Laplacian penalty.
 
-    apply_W is the counted blockwise mixing step (one communication round);
-    the _quiet variant serves diagnostics and never touches the counter.
+    apply_W is the counted blockwise mixing step (one communication round in
+    counters.comm_rounds); the _quiet variant serves diagnostics and never
+    touches the counter. The node oracles keep their own counters: their
+    zo_calls are calls per node.
     """
 
     def __init__(self, lap: Laplacian, n: int, node_oracles: list, R: float):
@@ -179,7 +181,7 @@ class NetworkProblem:
         self.node_oracles = node_oracles
         self.R = float(R)
         self.L_penalty = 2.0 * R * lap.lambda_max
-        self.comm_rounds = 0
+        self.counters = Counters()
 
     def _check_dim(self, x):
         x = np.asarray(x, dtype=float)
@@ -192,8 +194,13 @@ class NetworkProblem:
         return (self.lap.W_bar @ x.reshape(self.m, self.n)).ravel()
 
     def apply_W(self, x) -> np.ndarray:
-        self.comm_rounds += 1
+        self.counters.comm_rounds += 1
         return self.apply_W_quiet(x)
+
+    def penalty(self, x) -> float:
+        """R <x, Wx> at the cost of one communication round."""
+        x = self._check_dim(x)
+        return self.R * max(float(x @ self.apply_W(x)), 0.0)
 
     def consensus_violation(self, x) -> dict:
         """{'sq_norm_Wx': ||Wx||_2^2, 'sq_norm_sqrtWx': <x, Wx>}; uncounted.
@@ -210,17 +217,18 @@ class NetworkProblem:
 
 class _LiftedOracle:
     """Stacked zero-order oracle: one call evaluates every node's local term
-    on its own block (each node oracle counts one call) and averages."""
+    on its own block (each node oracle counts one call) and averages. The
+    stacked call counts into the network's counters."""
 
     def __init__(self, net: NetworkProblem):
         self.net = net
         self.M = max(o.M for o in net.node_oracles) / np.sqrt(net.m)
         self.s = min(o.s for o in net.node_oracles)
         self.Delta = max(o.Delta for o in net.node_oracles)
-        self.call_counter = 0
+        self.counters = net.counters
 
     def evaluate(self, x) -> float:
-        self.call_counter += 1
+        self.counters.zo_calls += 1
         net = self.net
         blocks = np.asarray(x, dtype=float).reshape(net.m, net.n)
         total = 0.0
@@ -266,10 +274,6 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
     def g_value(x):
         return net.R * net.consensus_violation(x)["sq_norm_sqrtWx"]
 
-    def g_value_counted(x):
-        x = net._check_dim(x)
-        return net.R * max(float(x @ net.apply_W(x)), 0.0)
-
     def g_grad(x):
         return 2.0 * net.R * net.apply_W(x)
 
@@ -284,7 +288,4 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
 
     return CompositeProblem(setup, g_value, g_grad, estimator,
                             psi0_reference=psi0_reference, f_subgrad=f_subgrad,
-                            g_value_counted=g_value_counted,
-                            comm_counter=lambda: net.comm_rounds,
-                            consensus_diag=lambda x: net.consensus_violation(x)["sq_norm_sqrtWx"],
-                            L=net.L_penalty)
+                            net=net, L=net.L_penalty)

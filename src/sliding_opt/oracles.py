@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,6 +45,19 @@ def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass
+class Counters:
+    """The cost ledger of a run, named as the trace columns.
+
+    Each zero-order oracle and each network owns one; a problem reads the
+    one its f oracle counts into (a lifted oracle shares its network's).
+    """
+
+    fo_calls: int = 0
+    zo_calls: int = 0
+    comm_rounds: int = 0
+
+
+@dataclass
 class NoiseModel:
     """Bounded additive observation noise: zero, i.i.d. uniform, or a sine in x.
 
@@ -62,6 +75,18 @@ class NoiseModel:
     @staticmethod
     def zero() -> "NoiseModel":
         return NoiseModel("zero")
+
+    @staticmethod
+    def build(kind: str, Delta: float, omega, rng: np.random.Generator | None) -> "NoiseModel":
+        """The model of a given kind; zero whenever kind is 'zero' or Delta is 0.
+
+        omega is read only by the sine model, rng only by the uniform one.
+        """
+        if kind == "zero" or Delta == 0.0:
+            return NoiseModel.zero()
+        if kind == "uniform":
+            return NoiseModel.uniform(Delta, rng)
+        return NoiseModel.adversarial_sine(Delta, omega)
 
     @staticmethod
     def uniform(Delta: float, rng: np.random.Generator) -> "NoiseModel":
@@ -88,7 +113,8 @@ class NoiseModel:
 
 
 class NoisyZeroOrderOracle:
-    """Value access to f through f(x, xi) + bounded noise; counts every call.
+    """Value access to f through f(x, xi) + bounded noise; counts every call
+    in counters.zo_calls.
 
     M bounds the Lipschitz constant (sup ||grad f(x, xi)||_2 in the second
     moment sense), s is the radius of the neighborhood of the feasible set on
@@ -112,10 +138,10 @@ class NoisyZeroOrderOracle:
         self._noisy = not (self.noise.kind == "zero" or self.noise.Delta == 0.0)
         self.stochastic_component = stochastic_component
         self.xi_rng = xi_rng
-        self.call_counter = 0
+        self.counters = Counters()
 
     def evaluate(self, x) -> float:
-        self.call_counter += 1
+        self.counters.zo_calls += 1
         if self.stochastic_component is not None:
             val = float(self.stochastic_component(x, self.xi_rng))
         else:

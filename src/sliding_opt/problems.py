@@ -335,13 +335,7 @@ def wire_composite(instance: SeparableLassoInstance, feasible: FeasibleSet, *,
     sugg = suggest_r_delta(eps, M, n, setup.D_X, 1.0, C3=norms.C3)
     if r is not None:
         sugg = dict(sugg, r=r, s_min=max(sugg["s_min"], r / norms.C3 * (1.0 + 1e-6)))
-    if noise_kind == "zero" or Delta == 0.0:
-        noise = NoiseModel.zero()
-    elif noise_kind == "uniform":
-        noise = NoiseModel.uniform(Delta, noise_rng)
-    else:
-        omega = np.arange(1, n + 1, dtype=float)
-        noise = NoiseModel.adversarial_sine(Delta, omega)
+    noise = NoiseModel.build(noise_kind, Delta, np.arange(1, n + 1, dtype=float), noise_rng)
     oracle = NoisyZeroOrderOracle(instance.f_value, M=M, s=sugg["s_min"], noise=noise)
     estimator = SmoothingEstimator(oracle, r=sugg["r"], n=n, norms=norms, rng=sphere_rng)
     problem = CompositeProblem(setup, instance.g_value, instance.g_grad, estimator,

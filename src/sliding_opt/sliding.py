@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ProximalSetup, prox_step
-from .oracles import EstimatorError, SmoothingEstimator
+from .oracles import Counters, EstimatorError, SmoothingEstimator
 from .trace import RunTrace, TraceRow
 
 
@@ -82,36 +82,6 @@ def build_schedule(*, L: float, M_est: float, n: int, C1: float, p_star: float,
 
 
 @dataclass
-class ScheduleValues:
-    p_t: float
-    theta_t: float
-    P_t: float
-    beta_k: float
-    gamma_k: float
-    Gamma_k: float
-    T_k: int
-
-
-def schedule_values(sched: SlidingSchedule, k: int, t: int) -> ScheduleValues:
-    """All schedule quantities at outer index k >= 1 and inner index t >= 0.
-
-    Closed forms: p_t = t/2, theta_t = 2(t+1)/(t(t+3)), P_t = 2/((t+1)(t+2))
-    (P_0 = 1), beta_k = 2L/k, gamma_k = 2/(k+1), Gamma_k = 2/(k(k+1)).
-    """
-    if k < 1:
-        raise ValueError("k: must be >= 1")
-    if t < 0:
-        raise ValueError("t: must be >= 0")
-    p_t = 0.5 * t
-    theta_t = 1.0 if t <= 1 else 2.0 * (t + 1.0) / (t * (t + 3.0))
-    P_t = 2.0 / ((t + 1.0) * (t + 2.0))
-    T_k, _, _ = sched.inner_steps(k)
-    return ScheduleValues(p_t=p_t, theta_t=theta_t, P_t=P_t,
-                          beta_k=sched.beta(k), gamma_k=sched.gamma(k),
-                          Gamma_k=sched.Gamma(k), T_k=T_k)
-
-
-@dataclass
 class Budgets:
     """Secondary halt conditions checked once per outer iteration."""
 
@@ -120,10 +90,10 @@ class Budgets:
     max_wall_ms: float | None = None
     t_start: float | None = None
 
-    def exceeded(self, zo: int, comm: int) -> str | None:
-        if self.max_zo_calls is not None and zo >= self.max_zo_calls:
+    def exceeded(self, counters: Counters) -> str | None:
+        if self.max_zo_calls is not None and counters.zo_calls >= self.max_zo_calls:
             return "zo_calls"
-        if self.max_comm_rounds is not None and comm >= self.max_comm_rounds:
+        if self.max_comm_rounds is not None and counters.comm_rounds >= self.max_comm_rounds:
             return "comm_rounds"
         if self.max_wall_ms is not None and self.t_start is not None:
             if (time.perf_counter() - self.t_start) * 1e3 >= self.max_wall_ms:
@@ -151,39 +121,40 @@ class CompositeProblem:
     """A composite objective f + g with the oracle access the solvers expect.
 
     f is reachable only through a noisy zero-order oracle and its smoothing
-    estimator; g through exact values and gradients. grad_g counts first-order
-    calls; the estimator's oracle counts zero-order calls; decentralized
-    instances plug a communication counter and a consensus diagnostic in.
+    estimator; g through exact values and gradients. `counters` is the f
+    oracle's cost ledger: the oracle counts zero-order calls into it and
+    grad_g first-order calls. A decentralized instance passes its network:
+    its counters then hold the communication rounds, a counted g value costs
+    one round, and checkpoints record the consensus violation <x, Wx>.
     f_subgrad (clean) exists so first-order baselines can be run on the same
     instance, never used by the sliding solvers.
     """
 
     def __init__(self, setup: ProximalSetup, g_value, g_grad,
                  estimator: SmoothingEstimator, *, psi0_reference: float | None = None,
-                 f_subgrad=None, g_value_counted=None, comm_counter=None,
-                 consensus_diag=None, L: float | None = None, mu: float = 0.0):
+                 f_subgrad=None, net=None, L: float | None = None, mu: float = 0.0):
         self.setup = setup
         self._g_value = g_value
         self._g_grad = g_grad
         self.estimator = estimator
         self.f_oracle = estimator.oracle
+        self.counters = self.f_oracle.counters
         self.psi0_reference = psi0_reference
         self.f_subgrad = f_subgrad
-        self._g_value_counted = g_value_counted if g_value_counted is not None else g_value
-        self._comm_counter = comm_counter
-        self.consensus_diag = consensus_diag
+        self.net = net
         self.L = L
         self.mu = mu
-        self.fo_calls = 0
 
     def g(self, x) -> float:
         return float(self._g_value(x))
 
     def g_counted(self, x) -> float:
-        return float(self._g_value_counted(x))
+        if self.net is not None:
+            return self.net.penalty(x)
+        return self.g(x)
 
     def grad_g(self, x) -> np.ndarray:
-        self.fo_calls += 1
+        self.counters.fo_calls += 1
         return self._g_grad(x)
 
     def f_clean(self, x) -> float:
@@ -191,14 +162,6 @@ class CompositeProblem:
 
     def psi0(self, x) -> float:
         return self.f_clean(x) + self.g(x)
-
-    @property
-    def zo_calls(self) -> int:
-        return self.f_oracle.call_counter
-
-    @property
-    def comm_rounds(self) -> int:
-        return self._comm_counter() if self._comm_counter is not None else 0
 
 
 def _checkpoint_steps(N: int, checkpoints: int):
@@ -215,9 +178,10 @@ def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, phase: int
     if not np.isfinite(psi0):
         raise SolverAbort(f"non-finite objective {psi0} at checkpoint", state)
     gap = None if problem.psi0_reference is None else psi0 - problem.psi0_reference
-    cons = None if problem.consensus_diag is None else problem.consensus_diag(x)
-    trace.add_row(TraceRow(step=step, fo_calls=problem.fo_calls, zo_calls=problem.zo_calls,
-                           comm_rounds=problem.comm_rounds, psi0=psi0,
+    cons = None if problem.net is None else problem.net.consensus_violation(x)["sq_norm_sqrtWx"]
+    c = problem.counters
+    trace.add_row(TraceRow(step=step, fo_calls=c.fo_calls, zo_calls=c.zo_calls,
+                           comm_rounds=c.comm_rounds, psi0=psi0,
                            gap_vs_reference=gap, consensus_sq_norm=cons, phase=phase,
                            bound=bound, wall_ms=(time.perf_counter() - wall0) * 1e3))
 
@@ -292,7 +256,7 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
         x_prev, x_tilde = ps_procedure(problem, sched, h_grad, x_prev, beta, T_k,
                                        k=k, phase=phase)
         x_bar = (1.0 - gamma) * x_bar + gamma * x_tilde
-        hit = budgets.exceeded(problem.zo_calls, problem.comm_rounds) if budgets else None
+        hit = budgets.exceeded(problem.counters) if budgets else None
         if k in marks or hit is not None:
             bound = bound_fn(k) if bound_fn is not None else None
             _record(trace, problem, x_bar, k_offset + k, phase, wall0, bound,

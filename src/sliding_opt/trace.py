@@ -118,9 +118,15 @@ class RunTrace:
                     bound=(None if named.get("bound", "") in ("", None)
                            else float(named["bound"])),
                 ))
-        trace = RunTrace(metadata=metadata, rows=rows,
-                         with_bound=bool(header and "bound" in header))
-        return trace
+        walls = metadata.get("wall_ms.rows", "").split()
+        if walls:
+            if len(walls) != len(rows):
+                raise ValueError(f"{path}: wall_ms.rows has {len(walls)} values "
+                                 f"for {len(rows)} rows")
+            for row, ms in zip(rows, walls):
+                row.wall_ms = float(ms)
+        return RunTrace(metadata=metadata, rows=rows,
+                        with_bound=bool(header and "bound" in header))
 
     def final(self) -> TraceRow:
         if not self.rows:

@@ -56,8 +56,8 @@ def test_gd_counts_one_first_order_call_per_step():
     problem = quad_problem()
     cfg = BaselineConfig(N_steps=7, step_rule="constant", eta=0.1)
     gd_run(problem, cfg, np.zeros(2))
-    assert problem.fo_calls == 7
-    assert problem.zo_calls == 0
+    assert problem.counters.fo_calls == 7
+    assert problem.counters.zo_calls == 0
 
 
 def test_gd_requires_clean_subgradient():
@@ -133,8 +133,8 @@ def test_zogd_counts_two_values_per_step_and_no_gradients():
                                    sphere_rng=np.random.default_rng(0))
     cfg = BaselineConfig(N_steps=9, step_rule="inv_sqrt", eta0=0.1, r=sugg["r"])
     zogd_run(problem, cfg, np.zeros(4), rng=np.random.default_rng(1))
-    assert problem.zo_calls == 18
-    assert problem.fo_calls == 0
+    assert problem.counters.zo_calls == 18
+    assert problem.counters.fo_calls == 0
 
 
 def test_zogd_requires_positive_radius():
@@ -196,6 +196,6 @@ def test_zogd_full_value_queries_cost_communication_on_lifted_problems():
                                 sphere_rng=np.random.default_rng(0))
     cfg = BaselineConfig(N_steps=4, step_rule="inv_sqrt", eta0=0.05, r=1e-2)
     zogd_run(problem, cfg, np.zeros(6), rng=np.random.default_rng(1))
-    assert problem.zo_calls == 8
-    assert problem.comm_rounds == 8  # one round per full-objective value query
-    assert problem.fo_calls == 0
+    assert problem.counters.zo_calls == 8
+    assert problem.counters.comm_rounds == 8  # one round per full-objective value query
+    assert problem.counters.fo_calls == 0

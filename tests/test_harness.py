@@ -8,8 +8,8 @@ import pytest
 
 from sliding_opt.cli import main
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
-from sliding_opt.harness import (ConfigError, RunConfig, _largest_N_for_zo,
-                                 _zosa_zo_cost, apply_overrides, compare,
+from sliding_opt.harness import (ConfigError, RunConfig, _finalize_metadata,
+                                 _largest_N_for_zo, _zosa_zo_cost, apply_overrides, compare,
                                  config_from_metadata, from_mapping, load_config,
                                  parse_config_file, parse_metric, parse_seed_spec,
                                  replay, run, seed_stream, validate)
@@ -164,6 +164,26 @@ def test_config_from_metadata_round_trips():
     trace = run(cfg)
     back = config_from_metadata(trace.metadata)
     assert back == cfg
+
+
+def test_every_config_field_round_trips_through_metadata():
+    import dataclasses
+    cfg = RunConfig(
+        experiment="geom_median", method="zosa", seed=3, n=4, N=5, phases=2, N0=7,
+        max_zo_calls=1000, max_comm_rounds=50, max_wall_ms=1234.5, N_horizon=77,
+        checkpoints=9, out_path="out.csv", eps=0.01, r=0.002, noise_kind="uniform",
+        Delta=1e-4, topology="custom", m=5, edge_file="edges.txt", R=10.0, L=2.5, mu=0.3,
+        M_est=1.5, c_const=2.0, C_const=3.0, T_cap=500, rho0=4.0, dataset="other.svm",
+        l1=0.01, bound_hint=3.0, box_half=1.5, step_rule="constant", eta=0.1, eta0=0.2,
+        eta_scale=0.5, averaging="uniform_avg", with_bound=True, reference="none",
+        reference_max_iter=99)
+    fields = dataclasses.fields(RunConfig)
+    assert all(getattr(cfg, f.name) != f.default for f in fields)
+    trace = RunTrace()
+    _finalize_metadata(trace, cfg, {}, {})
+    back = config_from_metadata(trace.metadata)
+    assert back == cfg
+    assert all(type(getattr(back, f.name)) is type(getattr(cfg, f.name)) for f in fields)
 
 
 def test_replay_reproduces_trace_body_exactly():

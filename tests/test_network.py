@@ -20,7 +20,7 @@ def test_two_node_chain_apply():
     net = two_node_net()
     out = net.apply_W_quiet(np.array([1.0, 0.0]))
     assert out == pytest.approx([1.0, -1.0])
-    assert net.comm_rounds == 0
+    assert net.counters.comm_rounds == 0
 
 
 def test_star_three_spectrum():
@@ -95,7 +95,7 @@ def test_consensus_violation_matches_sqrt_laplacian_norm():
         assert direct == pytest.approx(via_sqrt, abs=1e-10)
     consensus = np.tile(rng.standard_normal(n), 5)
     assert net.consensus_violation(consensus)["sq_norm_sqrtWx"] <= 1e-18
-    assert net.comm_rounds == 0  # diagnostics never count
+    assert net.counters.comm_rounds == 0  # diagnostics never count
 
 
 # -- penalty parameters ------------------------------------------------------
@@ -191,12 +191,12 @@ def test_lift_counts_one_round_per_gradient():
     net, _, problem = lifted_fixture()
     x = np.zeros(6)
     g1 = problem.grad_g(x)
-    assert problem.fo_calls == 1 and problem.comm_rounds == 1
+    assert problem.counters.fo_calls == 1 and problem.counters.comm_rounds == 1
     assert g1 == pytest.approx(2.0 * net.R * net.apply_W_quiet(x))
     problem.g(x)  # uncounted value path
-    assert problem.comm_rounds == 1
+    assert problem.counters.comm_rounds == 1
     problem.g_counted(x)
-    assert problem.comm_rounds == 2
+    assert problem.counters.comm_rounds == 2
 
 
 def test_lift_zero_order_call_averages_nodes_and_counts_every_oracle():
@@ -206,17 +206,17 @@ def test_lift_zero_order_call_averages_nodes_and_counts_every_oracle():
     val = problem.f_oracle.evaluate(x)
     blocks = x.reshape(3, 2)
     assert val == pytest.approx(np.mean([c @ b for c, b in zip(coefs, blocks)]))
-    assert problem.zo_calls == 1
-    assert all(o.call_counter == 1 for o in net.node_oracles)
+    assert problem.counters.zo_calls == 1
+    assert all(o.counters.zo_calls == 1 for o in net.node_oracles)
     assert problem.f_oracle.clean_value(x) == pytest.approx(val)  # zero noise
 
 
 def test_lift_estimate_costs_two_stacked_calls():
     net, _, problem = lifted_fixture()
     problem.estimator.estimate_gradient(np.zeros(6))
-    assert problem.zo_calls == 2
-    assert all(o.call_counter == 2 for o in net.node_oracles)
-    assert problem.comm_rounds == 0  # penalty untouched by the f estimator
+    assert problem.counters.zo_calls == 2
+    assert all(o.counters.zo_calls == 2 for o in net.node_oracles)
+    assert problem.counters.comm_rounds == 0  # penalty untouched by the f estimator
 
 
 def test_lift_scales_diameter_and_lipschitz_bound():

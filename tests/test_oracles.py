@@ -78,6 +78,17 @@ def test_sine_noise_is_deterministic_in_x():
     assert sine.sample(x) == sine.sample(x)
 
 
+def test_noise_build_is_zero_for_zero_kind_or_zero_delta():
+    omega, rng = np.array([1.0, 2.0]), np.random.default_rng(0)
+    assert NoiseModel.build("zero", 0.5, omega, rng).kind == "zero"
+    for kind in ("uniform", "adversarial_sine"):
+        assert NoiseModel.build(kind, 0.0, omega, rng).kind == "zero"
+        built = NoiseModel.build(kind, 0.5, omega, rng)
+        assert (built.kind, built.Delta) == (kind, 0.5)
+    assert NoiseModel.build("uniform", 0.5, omega, rng).rng is rng
+    assert NoiseModel.build("adversarial_sine", 0.5, omega, rng).omega.tolist() == [1.0, 2.0]
+
+
 # -- oracle ------------------------------------------------------------------
 
 def test_oracle_counts_every_evaluation_and_clean_value_skips():
@@ -85,9 +96,9 @@ def test_oracle_counts_every_evaluation_and_clean_value_skips():
     x = np.ones(3)
     for k in range(1, 6):
         oracle.evaluate(x)
-        assert oracle.call_counter == k
+        assert oracle.counters.zo_calls == k
     oracle.clean_value(x)
-    assert oracle.call_counter == 5
+    assert oracle.counters.zo_calls == 5
 
 
 def test_oracle_without_noise_adds_zero():
@@ -150,7 +161,7 @@ def test_estimate_consumes_two_calls():
                              rng=np.random.default_rng(0))
     for k in range(1, 6):
         est.estimate_gradient(np.zeros(4))
-        assert oracle.call_counter == 2 * k
+        assert oracle.counters.zo_calls == 2 * k
 
 
 def test_estimator_is_deterministic_given_seed():

@@ -8,7 +8,7 @@ from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstim
 from sliding_opt.problems import (make_strongly_convex_instance, make_verification_instance,
                                   wire_composite)
 from sliding_opt.sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
-                                 build_schedule, mzosa_run, ps_procedure, schedule_values,
+                                 build_schedule, mzosa_run, ps_procedure,
                                  suggest_r_delta, theoretical_bound, zosa_run)
 
 
@@ -32,17 +32,6 @@ def basic_schedule(problem, *, N, M_est=0.0, Delta=0.0, r=1e-3, mu=0.0, T_cap=10
 
 
 # -- schedule ----------------------------------------------------------------
-
-def test_schedule_values_first_inner_step():
-    sched = build_schedule(L=1.0, M_est=1.0, n=4, C1=1.0, p_star=1.0,
-                           Delta=0.0, r=0.1, D_tilde=1.0, N=5)
-    sv = schedule_values(sched, k=1, t=1)
-    assert sv.p_t == 0.5
-    assert sv.P_t == pytest.approx(1.0 / 3.0)
-    assert sv.theta_t == 1.0
-    sv0 = schedule_values(sched, k=1, t=0)
-    assert sv0.P_t == 1.0
-
 
 def test_schedule_recursions_hold_exactly():
     sched = build_schedule(L=2.5, M_est=1.0, n=4, C1=1.0, p_star=1.0,
@@ -165,9 +154,9 @@ def test_zosa_counters_match_schedule():
                            p_star=1.0, Delta=0.0, r=problem.estimator.r,
                            D_tilde=0.75 * problem.setup.D_XV ** 2, N=7)
     zosa_run(problem, sched, np.zeros(6), checkpoints=3)
-    assert problem.fo_calls == 7
+    assert problem.counters.fo_calls == 7
     expected_zo = 2 * sum(sched.inner_steps(k)[0] for k in range(1, 8))
-    assert problem.zo_calls == expected_zo
+    assert problem.counters.zo_calls == expected_zo
 
 
 def test_zosa_is_deterministic_for_fixed_seed():
@@ -289,7 +278,7 @@ def test_mzosa_halves_gap_each_phase_and_counts_first_order_calls():
     restart = RestartConfig(rho0=rho0, phases=phases)
     N0 = restart.resolved_N0(instance.L, instance.mu)
     y, trace = mzosa_run(problem, sched, restart, x0, checkpoints=1)
-    assert problem.fo_calls == N0 * phases
+    assert problem.counters.fo_calls == N0 * phases
     for i in range(1, phases + 1):
         rows_i = [row for row in trace.rows if row.phase == i and row.step == i * N0]
         assert rows_i, f"missing final row for phase {i}"

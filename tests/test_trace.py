@@ -45,6 +45,7 @@ def test_csv_round_trip_preserves_rows_and_metadata(tmp_path):
     assert back.rows[1].bound == trace.rows[1].bound
     assert back.rows[0].consensus_sq_norm is None
     assert back.body_text() == trace.body_text()
+    assert back.to_text() == path.read_text()
 
 
 def test_serialized_file_layout(tmp_path):
