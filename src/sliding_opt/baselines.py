@@ -95,8 +95,6 @@ def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_
     if trace is None:
         trace = RunTrace()
     wall0 = time.perf_counter()
-    if budgets is not None and budgets.t_start is None:
-        budgets.t_start = wall0
     x = x.copy()
     reporter = _Reporter(cfg, problem, x)
     marks = _checkpoint_steps(max(cfg.N_steps, 1), checkpoints)
@@ -110,8 +108,8 @@ def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_
                               SolverState(k=t, t=0, phase=0, x=x))
         x = project(problem.setup.feasible, target)
         reporter.update(x)
-        hit = budgets.exceeded(problem.counters) if budgets else None
-        if t in marks or hit is not None or t == cfg.N_steps:
+        hit = budgets.exceeded(problem.counters, wall0) if budgets else None
+        if t in marks or hit is not None:
             _record(trace, problem, reporter.point(), t, 0, wall0, None,
                     SolverState(k=t, t=0, phase=0, x=x))
         if hit is not None:
@@ -144,14 +142,9 @@ class _FullValueOracle:
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
         self.s = problem.f_oracle.s
-        self.M = problem.f_oracle.M
-        self.Delta = problem.f_oracle.Delta
 
     def evaluate(self, x) -> float:
         return self.problem.f_oracle.evaluate(x) + self.problem.g_counted(x)
-
-    def clean_value(self, x) -> float:
-        return self.problem.psi0(x)
 
 
 def zogd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,

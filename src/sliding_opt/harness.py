@@ -45,8 +45,9 @@ REFERENCE_MODES = ("auto", "none")
 
 # Fixed offsets under the master seed; every consumer of randomness draws from
 # its own stream so that, e.g., changing the noise realization leaves the data
-# and the sphere directions untouched.
-STREAM_IDS = {"data": 0, "init": 1, "sphere": 2, "noise": 3, "xi": 4}
+# and the sphere directions untouched. Ids 1 and 4 belonged to retired
+# streams and stay unused, so that no other stream moves.
+STREAM_IDS = {"data": 0, "sphere": 2, "noise": 3}
 
 
 def seed_stream(master: int, name: str, index: int | None = None) -> np.random.Generator:

@@ -202,17 +202,15 @@ class NetworkProblem:
         x = self._check_dim(x)
         return self.R * max(float(x @ self.apply_W(x)), 0.0)
 
-    def consensus_violation(self, x) -> dict:
-        """{'sq_norm_Wx': ||Wx||_2^2, 'sq_norm_sqrtWx': <x, Wx>}; uncounted.
+    def consensus_violation(self, x) -> float:
+        """<x, Wx> = ||sqrt(W) x||_2^2, clamped at 0; uncounted.
 
         Must tolerate diverged iterates: overflow propagates as inf/nan for
         the caller's finiteness checks instead of warning.
         """
         x = self._check_dim(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            Wx = self.apply_W_quiet(x)
-            return {"sq_norm_Wx": float(Wx @ Wx),
-                    "sq_norm_sqrtWx": max(float(x @ Wx), 0.0)}
+            return max(float(x @ self.apply_W_quiet(x)), 0.0)
 
 
 class _LiftedOracle:
@@ -272,7 +270,7 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
     estimator = SmoothingEstimator(oracle, r=r, n=m * n, norms=setup.norms, rng=sphere_rng)
 
     def g_value(x):
-        return net.R * net.consensus_violation(x)["sq_norm_sqrtWx"]
+        return net.R * net.consensus_violation(x)
 
     def g_grad(x):
         return 2.0 * net.R * net.apply_W(x)

@@ -113,19 +113,17 @@ class NoiseModel:
 
 
 class NoisyZeroOrderOracle:
-    """Value access to f through f(x, xi) + bounded noise; counts every call
-    in counters.zo_calls.
+    """Value access to f through f(x) + bounded noise; counts every call in
+    counters.zo_calls.
 
-    M bounds the Lipschitz constant (sup ||grad f(x, xi)||_2 in the second
-    moment sense), s is the radius of the neighborhood of the feasible set on
-    which queries stay valid. clean_value bypasses both noise and the counter
-    and exists for diagnostics and trace checkpoints only.
+    M bounds the Lipschitz constant (sup ||grad f(x)||_2), s is the radius
+    of the neighborhood of the feasible set on which queries stay valid.
+    clean_value bypasses both noise and the counter and exists for
+    diagnostics and trace checkpoints only.
     """
 
     def __init__(self, f_clean: Callable[[np.ndarray], float], *, M: float, s: float,
-                 noise: NoiseModel | None = None,
-                 stochastic_component: Callable[[np.ndarray, np.random.Generator], float] | None = None,
-                 xi_rng: np.random.Generator | None = None):
+                 noise: NoiseModel | None = None):
         if M < 0:
             raise ValueError("M: must be >= 0")
         if s <= 0:
@@ -136,16 +134,11 @@ class NoisyZeroOrderOracle:
         self.noise = noise if noise is not None else NoiseModel.zero()
         self.Delta = self.noise.Delta
         self._noisy = not (self.noise.kind == "zero" or self.noise.Delta == 0.0)
-        self.stochastic_component = stochastic_component
-        self.xi_rng = xi_rng
         self.counters = Counters()
 
     def evaluate(self, x) -> float:
         self.counters.zo_calls += 1
-        if self.stochastic_component is not None:
-            val = float(self.stochastic_component(x, self.xi_rng))
-        else:
-            val = float(self.f_clean(x))
+        val = float(self.f_clean(x))
         if self._noisy:
             return val + self.noise.sample(x)
         return val + 0.0    # what adding zero noise gives: -0.0 becomes 0.0
@@ -169,10 +162,9 @@ class SmoothingEstimator:
     Directions are drawn from rng in blocks of 4096 // n rows (with their
     steps r*e, about 64 KiB) and handed out one row at a time. They are, in
     order, exactly the values successive sample_sphere(n, rng) calls would
-    return, and estimate_gradient, smoothed_value and estimator_bias_norm
-    share the one sequence. The generator is read ahead by up to one block,
-    so a caller who also draws from rng sees its state move in blocks and
-    gets different numbers than with per-call draws.
+    return. The generator is read ahead by up to one block, so a caller who
+    also draws from rng sees its state move in blocks and gets different
+    numbers than with per-call draws.
     """
 
     def __init__(self, oracle, r: float, n: int, norms: NormPair,
@@ -217,37 +209,3 @@ class SmoothingEstimator:
         if not math.isfinite(val):
             raise EstimatorError(f"non-finite estimate ({fp} vs {fm})", x=x, e=e)
         return val * e
-
-    def smoothed_value(self, x, samples: int) -> float:
-        """Monte-Carlo estimate of the sphere-smoothed value E_e[f~(x + r e)]."""
-        if samples < 1:
-            raise ValueError("samples: must be >= 1")
-        x = np.asarray(x, dtype=float)
-        acc = 0.0
-        for _ in range(samples):
-            acc += self.oracle.evaluate(x + self._direction()[1])
-        return acc / samples
-
-    def estimator_bias_norm(self, x, samples: int) -> float:
-        """Dual norm of the empirical estimator mean minus a clean-value reference.
-
-        The reference gradient of the smoothed function is averaged over the
-        same directions with the noise-free value path, so the difference
-        isolates the noise-induced bias (bounded by n*Delta*p_star/r).
-        """
-        if samples < 1000:
-            raise ValueError("samples: must be >= 1000 for a meaningful bias estimate")
-        x = np.asarray(x, dtype=float)
-        scale = self._scale
-        mean_est = np.zeros(self.n)
-        mean_ref = np.zeros(self.n)
-        for _ in range(samples):
-            e, step = self._direction()
-            xp, xm = x + step, x - step
-            est = scale * (self.oracle.evaluate(xp) - self.oracle.evaluate(xm))
-            ref = scale * (self.oracle.clean_value(xp) - self.oracle.clean_value(xm))
-            mean_est += est * e
-            mean_ref += ref * e
-        mean_est /= samples
-        mean_ref /= samples
-        return self.norms.dual(mean_est - mean_ref)

@@ -88,15 +88,15 @@ class Budgets:
     max_zo_calls: int | None = None
     max_comm_rounds: int | None = None
     max_wall_ms: float | None = None
-    t_start: float | None = None
 
-    def exceeded(self, counters: Counters) -> str | None:
+    def exceeded(self, counters: Counters, wall0: float) -> str | None:
+        """The first budget spent by a run that started at perf_counter() == wall0."""
         if self.max_zo_calls is not None and counters.zo_calls >= self.max_zo_calls:
             return "zo_calls"
         if self.max_comm_rounds is not None and counters.comm_rounds >= self.max_comm_rounds:
             return "comm_rounds"
-        if self.max_wall_ms is not None and self.t_start is not None:
-            if (time.perf_counter() - self.t_start) * 1e3 >= self.max_wall_ms:
+        if self.max_wall_ms is not None:
+            if (time.perf_counter() - wall0) * 1e3 >= self.max_wall_ms:
                 return "wall_ms"
         return None
 
@@ -178,7 +178,7 @@ def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, phase: int
     if not np.isfinite(psi0):
         raise SolverAbort(f"non-finite objective {psi0} at checkpoint", state)
     gap = None if problem.psi0_reference is None else psi0 - problem.psi0_reference
-    cons = None if problem.net is None else problem.net.consensus_violation(x)["sq_norm_sqrtWx"]
+    cons = None if problem.net is None else problem.net.consensus_violation(x)
     c = problem.counters
     trace.add_row(TraceRow(step=step, fo_calls=c.fo_calls, zo_calls=c.zo_calls,
                            comm_rounds=c.comm_rounds, psi0=psi0,
@@ -213,61 +213,6 @@ def ps_procedure(problem: CompositeProblem, sched: SlidingSchedule, h_grad, x_an
     return u, u_tilde
 
 
-def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
-             checkpoints: int = 50, budgets: Budgets | None = None,
-             trace: RunTrace | None = None, phase: int = 0, k_offset: int = 0,
-             record_step0: bool = True, bound_fn: Callable[[int], float] | None = None):
-    """Run the sliding solver for sched.N outer iterations from x0.
-
-    Returns (final averaged iterate, trace). The trace gets a step-0 row, a
-    row at up to `checkpoints` evenly spaced outer iterations plus the final
-    one, and a final row immediately after any budget trips (the counters on
-    that row show the overshoot).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if not problem.setup.feasible.contains(x0, tol=1e-9):
-        raise ValueError("x0: not in the feasible set")
-    if trace is None:
-        trace = RunTrace()
-    if bound_fn is not None:
-        trace.with_bound = True
-    wall0 = budgets.t_start if budgets is not None and budgets.t_start is not None \
-        else time.perf_counter()
-    if budgets is not None and budgets.t_start is None:
-        budgets.t_start = wall0
-    N = sched.N
-    marks = _checkpoint_steps(N, checkpoints)
-    x_bar = x0.copy()
-    x_prev = x0.copy()
-    if record_step0:
-        _record(trace, problem, x_bar, 0, phase, wall0, None,
-                SolverState(k=0, t=0, phase=phase, x=x_bar))
-    cap_hit = trace.metadata.get("derived.T_cap_hit", "false") == "true"
-    for k in range(1, N + 1):
-        gamma = sched.gamma(k)
-        beta = sched.beta(k)
-        T_k, _, capped = sched.inner_steps(k)
-        cap_hit = cap_hit or capped
-        x_under = (1.0 - gamma) * x_bar + gamma * x_prev
-        h_grad = problem.grad_g(x_under)
-        if not np.all(np.isfinite(h_grad)):
-            raise SolverAbort(f"non-finite smooth gradient at outer iteration {k}",
-                              SolverState(k=k, t=0, phase=phase, x=x_under))
-        x_prev, x_tilde = ps_procedure(problem, sched, h_grad, x_prev, beta, T_k,
-                                       k=k, phase=phase)
-        x_bar = (1.0 - gamma) * x_bar + gamma * x_tilde
-        hit = budgets.exceeded(problem.counters) if budgets else None
-        if k in marks or hit is not None:
-            bound = bound_fn(k) if bound_fn is not None else None
-            _record(trace, problem, x_bar, k_offset + k, phase, wall0, bound,
-                    SolverState(k=k, t=0, phase=phase, x=x_bar))
-        if hit is not None:
-            trace.metadata["budget.halted"] = hit
-            break
-    trace.metadata["derived.T_cap_hit"] = "true" if cap_hit else "false"
-    return x_bar, trace
-
-
 @dataclass
 class RestartConfig:
     """Restart scheme for strongly convex objectives: rho0 bounds the initial
@@ -283,14 +228,79 @@ class RestartConfig:
         return 2 * math.ceil(math.sqrt(5.0 * L / mu))
 
 
+def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
+             checkpoints: int = 50, budgets: Budgets | None = None,
+             bound_fn: Callable[[int], float] | None = None,
+             restart: RestartConfig | None = None):
+    """Run the sliding solver from x0: sched.N outer iterations, or with a
+    restart, its phases of N0 outer iterations each.
+
+    Phase i = 1..phases uses D_tilde = rho0 / (mu * 2^i) and starts from the
+    previous phase's output; steps count on across phases. Returns (final
+    averaged iterate, trace). The trace gets a step-0 row, a row at up to
+    `checkpoints` evenly spaced outer iterations of each phase plus its last
+    one, and a final row immediately after any budget trips (the counters on
+    that row show the overshoot). bound_fn maps a row's step to its bound.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if not problem.setup.feasible.contains(x0, tol=1e-9):
+        raise ValueError("x0: not in the feasible set")
+    if restart is None:
+        phases = [(0, sched)]
+    else:
+        N0 = restart.resolved_N0(sched.L, sched.mu)
+        phases = [(i, replace(sched, D_tilde=restart.rho0 / (sched.mu * 2.0 ** i), N=N0))
+                  for i in range(1, restart.phases + 1)]
+    trace = RunTrace()
+    trace.with_bound = bound_fn is not None
+    wall0 = time.perf_counter()
+    x_bar = x0.copy()
+    phase = phases[0][0] if phases else 0
+    _record(trace, problem, x_bar, 0, phase, wall0, None,
+            SolverState(k=0, t=0, phase=phase, x=x_bar))
+    cap_hit = False
+    hit = None
+    step = 0
+    for phase, sched_i in phases:
+        marks = _checkpoint_steps(sched_i.N, checkpoints)
+        x_prev = x_bar
+        for k in range(1, sched_i.N + 1):
+            step += 1
+            gamma = sched_i.gamma(k)
+            beta = sched_i.beta(k)
+            T_k, _, capped = sched_i.inner_steps(k)
+            cap_hit = cap_hit or capped
+            x_under = (1.0 - gamma) * x_bar + gamma * x_prev
+            h_grad = problem.grad_g(x_under)
+            if not np.all(np.isfinite(h_grad)):
+                raise SolverAbort(f"non-finite smooth gradient at outer iteration {k}",
+                                  SolverState(k=k, t=0, phase=phase, x=x_under))
+            x_prev, x_tilde = ps_procedure(problem, sched_i, h_grad, x_prev, beta, T_k,
+                                           k=k, phase=phase)
+            x_bar = (1.0 - gamma) * x_bar + gamma * x_tilde
+            hit = budgets.exceeded(problem.counters, wall0) if budgets else None
+            if k in marks or hit is not None:
+                bound = bound_fn(step) if bound_fn is not None else None
+                _record(trace, problem, x_bar, step, phase, wall0, bound,
+                        SolverState(k=k, t=0, phase=phase, x=x_bar))
+            if hit is not None:
+                break
+        if hit is not None:
+            trace.metadata["budget.halted"] = hit
+            break
+    trace.metadata["derived.T_cap_hit"] = "true" if cap_hit else "false"
+    return x_bar, trace
+
+
 def mzosa_run(problem: CompositeProblem, sched: SlidingSchedule, restart: RestartConfig,
               y0, *, checkpoints: int = 50, budgets: Budgets | None = None,
               bound_fn: Callable[[int], float] | None = None):
     """Restarted sliding for mu-strongly convex objectives.
 
     Phase i reruns the convex solver from the previous phase's output with
-    the inner-loop scale D_tilde = rho0 / (mu * 2^i). Returns (y_I, trace);
-    phases appear in the trace's phase column with cumulative step indices.
+    the inner-loop scale D_tilde = rho0 / (mu * 2^i). bound_fn maps a phase
+    to its bound. Returns (y_I, trace); phases appear in the trace's phase
+    column with cumulative step indices.
     """
     if sched.mu <= 0:
         raise ValueError("mu: must be > 0 for the restarted solver")
@@ -298,25 +308,12 @@ def mzosa_run(problem: CompositeProblem, sched: SlidingSchedule, restart: Restar
         raise ValueError("rho0: must be > 0")
     if restart.phases < 0:
         raise ValueError("phases: must be >= 0")
-    y = np.asarray(y0, dtype=float)
-    trace = RunTrace()
-    wall0 = time.perf_counter()
-    if budgets is not None and budgets.t_start is None:
-        budgets.t_start = wall0
-    if restart.phases == 0:
-        _record(trace, problem, y, 0, 0, wall0, None, SolverState(0, 0, 0, y))
-        return y, trace
-    N0 = restart.resolved_N0(sched.L, sched.mu)
-    for i in range(1, restart.phases + 1):
-        D_i = restart.rho0 / (sched.mu * 2.0 ** i)
-        sched_i = replace(sched, D_tilde=D_i, N=N0)
-        phase_bound = (lambda k, _i=i: bound_fn(_i)) if bound_fn is not None else None
-        y, trace = zosa_run(problem, sched_i, y, checkpoints=checkpoints, budgets=budgets,
-                            trace=trace, phase=i, k_offset=(i - 1) * N0,
-                            record_step0=(i == 1), bound_fn=phase_bound)
-        if trace.metadata.get("budget.halted"):
-            break
-    return y, trace
+    step_bound = None
+    if bound_fn is not None:
+        N0 = restart.resolved_N0(sched.L, sched.mu)
+        step_bound = lambda step: bound_fn((step - 1) // N0 + 1)
+    return zosa_run(problem, sched, y0, checkpoints=checkpoints, budgets=budgets,
+                    bound_fn=step_bound, restart=restart)
 
 
 def theoretical_bound(sched: SlidingSchedule, setup: ProximalSetup,

@@ -313,7 +313,7 @@ def test_criterion_08_laplacian_spectra():
             lam, V = np.linalg.eigh(lap.W_bar)
             sqrtW = V @ np.diag(np.sqrt(np.maximum(lam, 0.0))) @ V.T
             ref = float(np.linalg.norm((sqrtW @ x.reshape(m, n)).ravel()) ** 2)
-            quad = net.consensus_violation(x)["sq_norm_sqrtWx"]
+            quad = net.consensus_violation(x)
             worst_quad = max(worst_quad, abs(quad - ref))
     elapsed = time.perf_counter() - t0
     ok = ok and worst_block <= 1e-12 and worst_quad <= 1e-10 and elapsed < 10.0

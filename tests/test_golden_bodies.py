@@ -1,9 +1,11 @@
 """Golden trace bodies: fixed configs whose SHA-256 body hashes must not move.
 
-The hashes and final counters were recorded with per-call sphere and noise
-draws, before the estimator drew its directions in blocks. A change made for
-speed must leave every one of them as it is. Each config runs in well under a
-second and crosses several direction-block boundaries.
+The first four hashes and final counters were recorded with per-call sphere
+and noise draws, before the estimator drew its directions in blocks; the two
+mzosa-synthetic-* entries were recorded while the restarted solver still ran
+one solver call per phase. A change made for speed or design must leave every
+one of them as it is. Each config runs in well under a second and crosses
+several direction-block boundaries.
 """
 
 import hashlib
@@ -28,6 +30,17 @@ GOLDEN = {
     "zogd-synthetic": (
         RunConfig(experiment="synthetic", method="zogd", seed=4, n=6, N=3000, checkpoints=5),
         "fc4a55e77a381b6b5966316469bcad4103a26d50caa575edfd425f9c36fa77b6", (0, 6000, 0)),
+    # cross-phase state of the restarted solver: a budget that halts inside
+    # phase 3 with the bound column on, and a T_cap that binds from phase 2 only
+    "mzosa-synthetic-halt-phase3": (
+        RunConfig(experiment="synthetic", method="mzosa", seed=7, n=6, mu=0.1, rho0=2.0,
+                  phases=4, N0=10, noise_kind="uniform", Delta=1e-5, with_bound=True,
+                  max_zo_calls=8000, checkpoints=3),
+        "e8f24cfd62cac4c0c7853e6c867b785e9de11890a56efbfe7bb32f918b422b00", (29, 8358, 0)),
+    "mzosa-synthetic-cap-phase2": (
+        RunConfig(experiment="synthetic", method="mzosa", seed=7, n=6, mu=0.1, rho0=2.0,
+                  phases=4, N0=10, T_cap=200, checkpoints=3),
+        "76ea8191868b0f31fe2124e5ebfeca65d01a850759c87da7e167cda2c6b919d4", (40, 9610, 0)),
 }
 
 
@@ -38,3 +51,16 @@ def test_trace_body_matches_golden_hash(name):
     final = trace.final()
     assert (final.fo_calls, final.zo_calls, final.comm_rounds) == counters
     assert hashlib.sha256(trace.body_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("mzosa-synthetic-halt-phase3", "budget.halted", "zo_calls"),
+    ("mzosa-synthetic-cap-phase2", "derived.T_cap_hit", "true"),
+])
+def test_restart_state_reaches_metadata(name, key, value):
+    assert run(GOLDEN[name][0]).metadata[key] == value
+
+
+def test_mzosa_wall_clock_runs_across_phases():
+    walls = [row.wall_ms for row in run(GOLDEN["mzosa-synthetic"][0]).rows]
+    assert walls == sorted(walls)

@@ -90,11 +90,11 @@ def test_consensus_violation_matches_sqrt_laplacian_norm():
     sqrt_W = eigvec @ np.diag(np.sqrt(np.maximum(eigval, 0.0))) @ eigvec.T
     for _ in range(5):
         x = rng.standard_normal(5 * n)
-        direct = net.consensus_violation(x)["sq_norm_sqrtWx"]
+        direct = net.consensus_violation(x)
         via_sqrt = float(np.sum((sqrt_W @ x.reshape(5, n)) ** 2))
         assert direct == pytest.approx(via_sqrt, abs=1e-10)
     consensus = np.tile(rng.standard_normal(n), 5)
-    assert net.consensus_violation(consensus)["sq_norm_sqrtWx"] <= 1e-18
+    assert net.consensus_violation(consensus) <= 1e-18
     assert net.counters.comm_rounds == 0  # diagnostics never count
 
 

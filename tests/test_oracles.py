@@ -122,17 +122,6 @@ def test_oracle_validates_M_and_s():
         make_oracle(lambda x: 0.0, s=0.0)
 
 
-def test_stochastic_component_mean_matches_clean():
-    rng = np.random.default_rng(23)
-    oracle = NoisyZeroOrderOracle(
-        lambda x: float(np.sum(x)), M=1.0, s=1.0,
-        stochastic_component=lambda x, g: float(np.sum(x)) + g.normal(0.0, 0.1),
-        xi_rng=np.random.default_rng(99))
-    x = np.ones(4)
-    vals = np.array([oracle.evaluate(x) for _ in range(20000)])
-    assert vals.mean() == pytest.approx(4.0, abs=3 * 0.1 / math.sqrt(20000))
-
-
 # -- p_star defaults ---------------------------------------------------------
 
 def test_default_p_star_euclidean_is_one():
@@ -250,14 +239,6 @@ def test_estimator_methods_share_one_direction_sequence():
     ref = np.random.default_rng(19)
     x = np.zeros(n)
     for _ in range(3):
-        oracle.queries.clear()
-        est.smoothed_value(x, samples=7)
-        for e in oracle.queries:
-            assert np.array_equal(e, sample_sphere(n, ref))
-        oracle.queries.clear()
-        est.estimator_bias_norm(x, samples=1000)
-        for e in oracle.queries[0::2]:
-            assert np.array_equal(e, sample_sphere(n, ref))
         g = est.estimate_gradient(x)
         e = sample_sphere(n, ref)
         assert np.array_equal(g, (n / (2.0 * r)) * (float(r * e[0]) - float(-r * e[0])) * e)
@@ -305,21 +286,6 @@ def test_estimator_second_moment_bound_linear_objective():
     assert emp <= bound
 
 
-def test_smoothed_value_constant_function():
-    oracle = make_oracle(lambda x: 7.0)
-    est = SmoothingEstimator(oracle, r=0.3, n=3, norms=NormPair.euclidean(),
-                             rng=np.random.default_rng(1))
-    assert est.smoothed_value(np.zeros(3), samples=64) == pytest.approx(7.0)
-
-
-def test_smoothed_value_of_squared_norm_at_origin_is_r_squared():
-    # f(x) = ||x||^2 gives f(0 + re) = r^2 on every sphere point
-    oracle = make_oracle(lambda x: float(np.sum(x ** 2)))
-    est = SmoothingEstimator(oracle, r=0.5, n=4, norms=NormPair.euclidean(),
-                             rng=np.random.default_rng(2))
-    assert est.smoothed_value(np.zeros(4), samples=32) == pytest.approx(0.25, abs=1e-12)
-
-
 def test_smoothed_value_tracks_lipschitz_function_within_r():
     n = 5
     oracle = make_oracle(lambda x: float(np.linalg.norm(x)), M=1.0)
@@ -333,27 +299,6 @@ def test_smoothed_value_tracks_lipschitz_function_within_r():
                          for _ in range(samples)])
         stderr = vals.std(ddof=1) / math.sqrt(samples)
         assert abs(vals.mean() - np.linalg.norm(x)) <= est.r * 1.0 + 3 * stderr
-
-
-def test_estimator_bias_bounded_by_noise_over_radius():
-    n, Delta, r = 4, 1e-3, 0.1
-    c = np.array([1.0, -2.0, 0.5, 0.8])
-    oracle = make_oracle(lambda x: float(c @ x), M=float(np.linalg.norm(c)),
-                         noise=NoiseModel.uniform(Delta, np.random.default_rng(21)))
-    est = SmoothingEstimator(oracle, r=r, n=n, norms=NormPair.euclidean(),
-                             rng=np.random.default_rng(22))
-    samples = 20000
-    bias = est.estimator_bias_norm(np.zeros(n), samples=samples)
-    stderr_bound = (n / r) * Delta / math.sqrt(samples)
-    assert bias <= n * Delta / r + 3 * stderr_bound
-
-
-def test_estimator_bias_rejects_small_sample():
-    oracle = make_oracle(lambda x: 0.0)
-    est = SmoothingEstimator(oracle, r=0.1, n=2, norms=NormPair.euclidean(),
-                             rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        est.estimator_bias_norm(np.zeros(2), samples=999)
 
 
 def test_estimator_raises_on_non_finite_values():
