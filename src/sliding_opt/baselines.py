@@ -7,15 +7,14 @@ format with the sliding solvers so comparisons line up column for column.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import project
 from .oracles import EstimatorError, SmoothingEstimator
-from .sliding import Budgets, CompositeProblem, SolverAbort, SolverState, _checkpoint_steps, _record
-from .trace import RunTrace
+from .sliding import (Budgets, CompositeProblem, SolverAbort, SolverState, _checkpoint_steps,
+                      _Recorder)
 
 
 @dataclass
@@ -87,18 +86,12 @@ class _Reporter:
 
 
 def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_fn, *,
-                  checkpoints: int, budgets: Budgets | None, trace: RunTrace | None):
+                  checkpoints: int, budgets: Budgets | None):
     _validate(cfg)
-    x = np.asarray(x0, dtype=float)
-    if not problem.setup.feasible.contains(x, tol=1e-9):
-        raise ValueError("x0: not in the feasible set")
-    if trace is None:
-        trace = RunTrace()
-    wall0 = time.perf_counter()
-    x = x.copy()
+    rec = _Recorder(problem, x0, budgets)
+    x = rec.x0
     reporter = _Reporter(cfg, problem, x)
     marks = _checkpoint_steps(max(cfg.N_steps, 1), checkpoints)
-    _record(trace, problem, reporter.point(), 0, 0, wall0, None, SolverState(0, 0, 0, x))
     for t in range(1, cfg.N_steps + 1):
         d = direction_fn(x, t)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -108,19 +101,15 @@ def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_
                               SolverState(k=t, t=0, phase=0, x=x))
         x = project(problem.setup.feasible, target)
         reporter.update(x)
-        hit = budgets.exceeded(problem.counters, wall0) if budgets else None
-        if t in marks or hit is not None:
-            _record(trace, problem, reporter.point(), t, 0, wall0, None,
-                    SolverState(k=t, t=0, phase=0, x=x))
-        if hit is not None:
-            trace.metadata["budget.halted"] = hit
+        if rec.due(t, marks):
+            rec.record(reporter.point(), t, t)
+        if rec.halted is not None:
             break
-    return reporter.point(), trace
+    return reporter.point(), rec.trace
 
 
 def gd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,
-           checkpoints: int = 50, budgets: Budgets | None = None,
-           trace: RunTrace | None = None):
+           checkpoints: int = 50, budgets: Budgets | None = None):
     """Projected subgradient descent with clean first-order access to f + g.
 
     One combined subgradient per step, counted as one first-order call.
@@ -132,7 +121,7 @@ def gd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,
         return problem.f_subgrad(x) + problem.grad_g(x)
 
     return _descent_loop(problem, cfg, x0, direction,
-                         checkpoints=checkpoints, budgets=budgets, trace=trace)
+                         checkpoints=checkpoints, budgets=budgets)
 
 
 class _FullValueOracle:
@@ -149,7 +138,7 @@ class _FullValueOracle:
 
 def zogd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,
              rng: np.random.Generator | None = None, checkpoints: int = 50,
-             budgets: Budgets | None = None, trace: RunTrace | None = None):
+             budgets: Budgets | None = None):
     """Zeroth-order projected descent on the full objective.
 
     Each step takes one two-point sphere estimate of f + g (two value
@@ -168,4 +157,4 @@ def zogd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,
             raise SolverAbort(str(err), SolverState(k=t, t=0, phase=0, x=x)) from err
 
     return _descent_loop(problem, cfg, x0, direction,
-                         checkpoints=checkpoints, budgets=budgets, trace=trace)
+                         checkpoints=checkpoints, budgets=budgets)

@@ -26,8 +26,7 @@ from .problems import (GeometricMedianInstance, NesterovLassoInstance, dataset_p
                        make_strongly_convex_instance, make_verification_instance,
                        prox_grad_reference, read_libsvm, weiszfeld, wire_composite)
 from .sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
-                      build_schedule, mzosa_run, suggest_r_delta,
-                      theoretical_bound, zosa_run)
+                      build_schedule, mzosa_run, suggest_r_delta, zosa_run)
 from .trace import RunTrace, format_float
 
 
@@ -300,11 +299,6 @@ def validate(cfg: RunConfig):
 class _Build:
     problem: CompositeProblem
     x0: np.ndarray
-    dim: int
-    M_f: float
-    L: float
-    mu: float
-    r: float
     delta_max: float | None
     quiet_grad: Callable
     derived: dict = field(default_factory=dict)
@@ -332,8 +326,7 @@ def _build_synthetic(cfg: RunConfig) -> _Build:
         problem.psi0_reference = None
     else:
         reference = {"kind": "closed_form", "value": float(inst.optimal_value())}
-    return _Build(problem=problem, x0=np.zeros(n), dim=n, M_f=inst.M_bound(),
-                  L=inst.L, mu=inst.mu, r=sugg["r"], delta_max=sugg["delta_max"],
+    return _Build(problem=problem, x0=np.zeros(n), delta_max=sugg["delta_max"],
                   quiet_grad=inst.g_grad, reference=reference)
 
 
@@ -361,8 +354,8 @@ def _build_smooth_lasso(cfg: RunConfig, inst, n: int, l1: float, L: float) -> _B
     problem = CompositeProblem(setup, inst.g_value, inst.g_grad, est,
                                psi0_reference=psi0_ref, f_subgrad=inst.f_subgrad,
                                L=L, mu=0.0)
-    return _Build(problem=problem, x0=np.zeros(n), dim=n, M_f=M_f, L=L, mu=0.0,
-                  r=r, delta_max=sugg["delta_max"], quiet_grad=inst.g_grad,
+    return _Build(problem=problem, x0=np.zeros(n), delta_max=sugg["delta_max"],
+                  quiet_grad=inst.g_grad,
                   derived={"nonconforming_compactness": True, "bound_hint": bound_hint},
                   reference=reference)
 
@@ -406,9 +399,11 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
     M_lift = 1.0 / math.sqrt(m)
     sugg = suggest_r_delta(cfg.eps, M_lift, m * n, per_node.D_X * math.sqrt(m), 1.0)
     r = cfg.r if cfg.r is not None else sugg["r"]
+    uniform = cfg.noise_kind == "uniform"
     noise_models = [NoiseModel.build(cfg.noise_kind, cfg.Delta,
                                      (i + 1.0) * np.arange(1, n + 1, dtype=float),
-                                     seed_stream(cfg.seed, "noise", i)) for i in range(m)]
+                                     seed_stream(cfg.seed, "noise", i) if uniform else None)
+                    for i in range(m)]
     oracles = inst.make_node_oracles(s=2.0 * r, noise_models=noise_models)
     net = NetworkProblem(lap, n, oracles, R)
     reference = {}
@@ -425,8 +420,7 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
                "R": R, "chi": lap.chi, "lambda_max": lap.lambda_max,
                "lambda_min_plus": lap.lambda_min_plus,
                "R_y": dual_bound_radius(1.0, m, lap), "edges": len(graph.edges)}
-    return _Build(problem=problem, x0=inst.anchors.ravel().copy(), dim=m * n,
-                  M_f=M_lift, L=net.L_penalty, mu=0.0, r=r, delta_max=sugg["delta_max"],
+    return _Build(problem=problem, x0=inst.anchors.ravel().copy(), delta_max=sugg["delta_max"],
                   quiet_grad=(lambda x: 2.0 * R * net.apply_W_quiet(x)),
                   derived=derived, reference=reference)
 
@@ -526,50 +520,44 @@ def _default_eta0(cfg: RunConfig, b: _Build) -> float:
         sub = np.asarray(b.problem.f_subgrad(b.x0), dtype=float)
         denom = float(np.linalg.norm(sub + grad0))
     else:
-        denom = math.sqrt(b.dim) * (b.M_f + float(np.linalg.norm(grad0)))
+        n = b.problem.estimator.n
+        denom = math.sqrt(n) * (b.problem.f_oracle.M + float(np.linalg.norm(grad0)))
     return b.problem.setup.D_X / (denom + 1e-12)
 
 
 def _execute(cfg: RunConfig, b: _Build) -> tuple:
-    setup = b.problem.setup
-    p_star = default_p_star(setup.norms, b.dim)
-    M_est = cfg.M_est if cfg.M_est is not None else b.M_f
+    problem = b.problem
+    setup, est = problem.setup, problem.estimator
+    M_est = cfg.M_est if cfg.M_est is not None else problem.f_oracle.M
     budgets = None
     if any(v is not None for v in (cfg.max_zo_calls, cfg.max_comm_rounds, cfg.max_wall_ms)):
         budgets = Budgets(max_zo_calls=cfg.max_zo_calls, max_comm_rounds=cfg.max_comm_rounds,
                           max_wall_ms=cfg.max_wall_ms)
     derived = dict(b.derived)
-    derived.update(dim=b.dim, r=b.r, M_est=M_est, p_star=p_star, L=b.L)
+    derived.update(dim=est.n, r=est.r, M_est=M_est, p_star=est.p_star, L=problem.L)
     if b.delta_max is not None:
         derived["delta_max"] = b.delta_max
 
     if cfg.method in ("zosa", "mzosa"):
         mu_sched = cfg.mu if cfg.mu > 0 else 0.0
-        sched_kwargs = dict(L=b.L, M_est=M_est, n=b.dim, C1=setup.norms.C1,
-                            p_star=p_star, Delta=cfg.Delta, r=b.r, mu=mu_sched,
+        sched_kwargs = dict(L=problem.L, M_est=M_est, n=est.n, C1=setup.norms.C1,
+                            p_star=est.p_star, Delta=cfg.Delta, r=est.r, mu=mu_sched,
                             T_cap=cfg.T_cap, c_const=cfg.c_const, C_const=cfg.C_const)
         if cfg.method == "zosa":
             D_tilde = 0.75 * setup.D_XV ** 2
             N, primary = _resolve_horizon(cfg, dict(sched_kwargs, D_tilde=D_tilde))
             sched = build_schedule(N=N, D_tilde=D_tilde, **sched_kwargs)
-            bound_fn = None
-            if cfg.with_bound:
-                bound_fn = lambda k: theoretical_bound(sched, setup, b.problem.estimator, k)
-            _, trace = zosa_run(b.problem, sched, b.x0, checkpoints=cfg.checkpoints,
-                                budgets=budgets, bound_fn=bound_fn)
+            _, trace = zosa_run(problem, sched, b.x0, checkpoints=cfg.checkpoints,
+                                budgets=budgets, with_bound=cfg.with_bound)
             derived.update(N=N, D_tilde=D_tilde, M_tilde=sched.M_tilde,
                            sigma_sq=sched.sigma_sq, budget_primary=primary)
         else:
             restart = RestartConfig(rho0=cfg.rho0, phases=cfg.phases, N0=cfg.N0)
-            N0 = restart.resolved_N0(b.L, mu_sched)
+            N0 = restart.resolved_N0(problem.L, mu_sched)
             sched = build_schedule(N=N0, D_tilde=cfg.rho0 / (2.0 * mu_sched), **sched_kwargs)
-            bound_fn = None
-            if cfg.with_bound:
-                bound_fn = lambda i: theoretical_bound(sched, setup, b.problem.estimator,
-                                                       i, restart=restart)
-            _, trace = mzosa_run(b.problem, sched, restart, b.x0,
+            _, trace = mzosa_run(problem, sched, restart, b.x0,
                                  checkpoints=cfg.checkpoints, budgets=budgets,
-                                 bound_fn=bound_fn)
+                                 with_bound=cfg.with_bound)
             derived.update(N0=N0, rho0=cfg.rho0, phases=cfg.phases, M_tilde=sched.M_tilde,
                            sigma_sq=sched.sigma_sq, budget_primary="phases")
         return trace, derived
@@ -583,11 +571,11 @@ def _execute(cfg: RunConfig, b: _Build) -> tuple:
         base = _default_eta0(cfg, b)
     eta_eff = base * cfg.eta_scale
     bl = BaselineConfig(N_steps=N, step_rule=cfg.step_rule, eta=eta_eff, eta0=eta_eff,
-                        averaging=cfg.averaging, r=(b.r if cfg.method == "zogd" else 0.0))
+                        averaging=cfg.averaging, r=(est.r if cfg.method == "zogd" else 0.0))
     if cfg.method == "gd":
-        _, trace = gd_run(b.problem, bl, b.x0, checkpoints=cfg.checkpoints, budgets=budgets)
+        _, trace = gd_run(problem, bl, b.x0, checkpoints=cfg.checkpoints, budgets=budgets)
     else:
-        _, trace = zogd_run(b.problem, bl, b.x0, rng=seed_stream(cfg.seed, "sphere"),
+        _, trace = zogd_run(problem, bl, b.x0, rng=seed_stream(cfg.seed, "sphere"),
                             checkpoints=cfg.checkpoints, budgets=budgets)
     derived.update(N=N, eta0=eta_eff, budget_primary=primary)
     return trace, derived

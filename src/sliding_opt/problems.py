@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import FeasibleSet, NormPair, make_setup
 from .oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
@@ -88,7 +87,7 @@ def weiszfeld(instance: GeometricMedianInstance, tol: float = 1e-13,
 class LogRegLassoInstance:
     """Average logistic loss over (A, y) plus l1 * ||x||_1."""
 
-    A: sp.csr_matrix
+    A: "scipy.sparse.csr_matrix"
     y: np.ndarray
     l1: float = 0.0
 
@@ -143,6 +142,8 @@ def read_libsvm(path, l1: float = 0.0) -> LogRegLassoInstance:
     Labels in {-1,+1} pass through; {0,1} maps 0 to -1; {1,2} maps 1 to -1
     (order-preserving). The feature count is the maximum 1-based index seen.
     """
+    import scipy.sparse as sp    # the package's only scipy use; imported on demand
+
     labels = []
     rows, cols, vals = [], [], []
     n_features = 0

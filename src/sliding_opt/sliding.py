@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -172,11 +171,12 @@ def _checkpoint_steps(N: int, checkpoints: int):
     return ks
 
 
-def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, phase: int,
-            wall0: float, bound: float | None, state: SolverState):
+def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, k: int, phase: int,
+            wall0: float, bound: float | None):
     psi0 = problem.psi0(x)
     if not np.isfinite(psi0):
-        raise SolverAbort(f"non-finite objective {psi0} at checkpoint", state)
+        raise SolverAbort(f"non-finite objective {psi0} at checkpoint",
+                          SolverState(k=k, t=0, phase=phase, x=x))
     gap = None if problem.psi0_reference is None else psi0 - problem.psi0_reference
     cons = None if problem.net is None else problem.net.consensus_violation(x)
     c = problem.counters
@@ -186,8 +186,37 @@ def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, phase: int
                            bound=bound, wall_ms=(time.perf_counter() - wall0) * 1e3))
 
 
-def ps_procedure(problem: CompositeProblem, sched: SlidingSchedule, h_grad, x_anchor,
-                 beta: float, T: int, *, k: int = 1, phase: int = 0):
+class _Recorder:
+    """What every solver loop shares: the checked copy x0 of the start point,
+    the trace with its step-0 row and wall clock, the checkpoint rows, and the
+    budget halt (`halted`, also written as `budget.halted`)."""
+
+    def __init__(self, problem: CompositeProblem, x0, budgets: Budgets | None,
+                 phase: int = 0, *, with_bound: bool = False):
+        x0 = np.asarray(x0, dtype=float)
+        if not problem.setup.feasible.contains(x0, tol=1e-9):
+            raise ValueError("x0: not in the feasible set")
+        self.x0 = x0.copy()
+        self.problem = problem
+        self.budgets = budgets
+        self.trace = RunTrace(with_bound=with_bound)
+        self.halted = None
+        self.wall0 = time.perf_counter()
+        _record(self.trace, problem, self.x0, 0, 0, phase, self.wall0, None)
+
+    def due(self, k: int, marks) -> bool:
+        if self.budgets is not None:
+            self.halted = self.budgets.exceeded(self.problem.counters, self.wall0)
+        return k in marks or self.halted is not None
+
+    def record(self, x, step: int, k: int, phase: int = 0, bound: float | None = None):
+        _record(self.trace, self.problem, x, step, k, phase, self.wall0, bound)
+        if self.halted is not None:
+            self.trace.metadata["budget.halted"] = self.halted
+
+
+def ps_procedure(problem: CompositeProblem, h_grad, x_anchor, beta: float, T: int, *,
+                 k: int = 1, phase: int = 0):
     """Inner prox loop against the linear model h with gradient h_grad.
 
     Starting from the anchor, T steps of: draw a fresh gradient estimate at
@@ -230,8 +259,7 @@ class RestartConfig:
 
 def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
              checkpoints: int = 50, budgets: Budgets | None = None,
-             bound_fn: Callable[[int], float] | None = None,
-             restart: RestartConfig | None = None):
+             with_bound: bool = False, restart: RestartConfig | None = None):
     """Run the sliding solver from x0: sched.N outer iterations, or with a
     restart, its phases of N0 outer iterations each.
 
@@ -240,26 +268,20 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
     averaged iterate, trace). The trace gets a step-0 row, a row at up to
     `checkpoints` evenly spaced outer iterations of each phase plus its last
     one, and a final row immediately after any budget trips (the counters on
-    that row show the overshoot). bound_fn maps a row's step to its bound.
+    that row show the overshoot). with_bound adds each row's
+    theoretical_bound: after k outer iterations, or under a restart after
+    the row's phase.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not problem.setup.feasible.contains(x0, tol=1e-9):
-        raise ValueError("x0: not in the feasible set")
     if restart is None:
         phases = [(0, sched)]
     else:
         N0 = restart.resolved_N0(sched.L, sched.mu)
         phases = [(i, replace(sched, D_tilde=restart.rho0 / (sched.mu * 2.0 ** i), N=N0))
                   for i in range(1, restart.phases + 1)]
-    trace = RunTrace()
-    trace.with_bound = bound_fn is not None
-    wall0 = time.perf_counter()
-    x_bar = x0.copy()
-    phase = phases[0][0] if phases else 0
-    _record(trace, problem, x_bar, 0, phase, wall0, None,
-            SolverState(k=0, t=0, phase=phase, x=x_bar))
+    rec = _Recorder(problem, x0, budgets, phases[0][0] if phases else 0,
+                    with_bound=with_bound)
+    x_bar = rec.x0
     cap_hit = False
-    hit = None
     step = 0
     for phase, sched_i in phases:
         marks = _checkpoint_steps(sched_i.N, checkpoints)
@@ -275,32 +297,32 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
             if not np.all(np.isfinite(h_grad)):
                 raise SolverAbort(f"non-finite smooth gradient at outer iteration {k}",
                                   SolverState(k=k, t=0, phase=phase, x=x_under))
-            x_prev, x_tilde = ps_procedure(problem, sched_i, h_grad, x_prev, beta, T_k,
+            x_prev, x_tilde = ps_procedure(problem, h_grad, x_prev, beta, T_k,
                                            k=k, phase=phase)
             x_bar = (1.0 - gamma) * x_bar + gamma * x_tilde
-            hit = budgets.exceeded(problem.counters, wall0) if budgets else None
-            if k in marks or hit is not None:
-                bound = bound_fn(step) if bound_fn is not None else None
-                _record(trace, problem, x_bar, step, phase, wall0, bound,
-                        SolverState(k=k, t=0, phase=phase, x=x_bar))
-            if hit is not None:
+            if rec.due(k, marks):
+                bound = None
+                if with_bound:
+                    bound = theoretical_bound(sched, problem.setup, problem.estimator,
+                                              k if restart is None else phase, restart=restart)
+                rec.record(x_bar, step, k, phase, bound)
+            if rec.halted is not None:
                 break
-        if hit is not None:
-            trace.metadata["budget.halted"] = hit
+        if rec.halted is not None:
             break
-    trace.metadata["derived.T_cap_hit"] = "true" if cap_hit else "false"
-    return x_bar, trace
+    rec.trace.metadata["derived.T_cap_hit"] = "true" if cap_hit else "false"
+    return x_bar, rec.trace
 
 
 def mzosa_run(problem: CompositeProblem, sched: SlidingSchedule, restart: RestartConfig,
               y0, *, checkpoints: int = 50, budgets: Budgets | None = None,
-              bound_fn: Callable[[int], float] | None = None):
+              with_bound: bool = False):
     """Restarted sliding for mu-strongly convex objectives.
 
     Phase i reruns the convex solver from the previous phase's output with
-    the inner-loop scale D_tilde = rho0 / (mu * 2^i). bound_fn maps a phase
-    to its bound. Returns (y_I, trace); phases appear in the trace's phase
-    column with cumulative step indices.
+    the inner-loop scale D_tilde = rho0 / (mu * 2^i). with_bound adds the
+    bound after each row's phase. Returns (y_I, trace); phases appear in the
+    trace's phase column with cumulative step indices.
     """
     if sched.mu <= 0:
         raise ValueError("mu: must be > 0 for the restarted solver")
@@ -308,12 +330,8 @@ def mzosa_run(problem: CompositeProblem, sched: SlidingSchedule, restart: Restar
         raise ValueError("rho0: must be > 0")
     if restart.phases < 0:
         raise ValueError("phases: must be >= 0")
-    step_bound = None
-    if bound_fn is not None:
-        N0 = restart.resolved_N0(sched.L, sched.mu)
-        step_bound = lambda step: bound_fn((step - 1) // N0 + 1)
     return zosa_run(problem, sched, y0, checkpoints=checkpoints, budgets=budgets,
-                    bound_fn=step_bound, restart=restart)
+                    with_bound=with_bound, restart=restart)
 
 
 def theoretical_bound(sched: SlidingSchedule, setup: ProximalSetup,

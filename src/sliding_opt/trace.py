@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # 17 significant digits round-trips IEEE doubles exactly.
 _FMT = ".17g"
 

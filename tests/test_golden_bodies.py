@@ -3,9 +3,10 @@
 The first four hashes and final counters were recorded with per-call sphere
 and noise draws, before the estimator drew its directions in blocks; the two
 mzosa-synthetic-* entries were recorded while the restarted solver still ran
-one solver call per phase. A change made for speed or design must leave every
-one of them as it is. Each config runs in well under a second and crosses
-several direction-block boundaries.
+one solver call per phase; the last three were recorded while the sliding and
+baseline loops each kept their own checkpoint and budget bookkeeping. A change
+made for speed or design must leave every one of them as it is. Each config
+runs in well under a second and crosses several direction-block boundaries.
 """
 
 import hashlib
@@ -41,6 +42,20 @@ GOLDEN = {
         RunConfig(experiment="synthetic", method="mzosa", seed=7, n=6, mu=0.1, rho0=2.0,
                   phases=4, N0=10, T_cap=200, checkpoints=3),
         "76ea8191868b0f31fe2124e5ebfeca65d01a850759c87da7e167cda2c6b919d4", (40, 9610, 0)),
+    # the shared run recorder: the zosa bound column, and gd/zogd budget halts
+    # (zogd with the running mean as its reported point)
+    "zosa-nesterov-bound": (
+        RunConfig(experiment="nesterov", method="zosa", seed=1, n=8, max_zo_calls=4000,
+                  checkpoints=4, with_bound=True),
+        "508afe2f7c2ba326b9ae9abf5a47eb679dbaeb0ac06e455d291eca0c76f2a57d", (285, 4000, 0)),
+    "gd-geom-star-comm-halt": (
+        RunConfig(experiment="geom_median", method="gd", seed=2, n=3, m=6, topology="star",
+                  N=400, max_comm_rounds=150, checkpoints=5),
+        "79772a1786538a360a5653b128dde5dd31e924bd37447a5c6614c5b9998c3952", (150, 0, 150)),
+    "zogd-synthetic-avg-halt": (
+        RunConfig(experiment="synthetic", method="zogd", seed=4, n=6, N=3000, max_zo_calls=1500,
+                  averaging="uniform_avg", checkpoints=5),
+        "6a4e3b5113722298c574c6d3c16f9d09571ed4b6ee85e4de399c3812da2068bc", (0, 1500, 0)),
 }
 
 
@@ -56,6 +71,9 @@ def test_trace_body_matches_golden_hash(name):
 @pytest.mark.parametrize("name, key, value", [
     ("mzosa-synthetic-halt-phase3", "budget.halted", "zo_calls"),
     ("mzosa-synthetic-cap-phase2", "derived.T_cap_hit", "true"),
+    ("zosa-nesterov-bound", "budget.halted", "zo_calls"),
+    ("gd-geom-star-comm-halt", "budget.halted", "comm_rounds"),
+    ("zogd-synthetic-avg-halt", "budget.halted", "zo_calls"),
 ])
 def test_restart_state_reaches_metadata(name, key, value):
     assert run(GOLDEN[name][0]).metadata[key] == value

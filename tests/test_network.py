@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
-from sliding_opt.network import (Graph, GraphError, Laplacian, NetworkProblem,
+from sliding_opt.network import (Graph, GraphError, NetworkProblem,
                                  build_laplacian, dual_bound_radius, lift_to_penalized,
                                  penalty_coefficient, read_edge_list)
 from sliding_opt.oracles import NoisyZeroOrderOracle

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sliding_opt
 from sliding_opt.oracles import NoiseModel
 from sliding_opt.problems import (GeometricMedianInstance, LogRegLassoInstance,
                                   NesterovLassoInstance, SeparableLassoInstance,
@@ -145,6 +150,19 @@ def test_read_libsvm_errors_carry_line_numbers(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError, match="empty dataset"):
         read_libsvm(empty)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is read only with a LIBSVM file; a fresh interpreter shows what
+    # importing the package alone loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sliding_opt.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, sliding_opt; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_dataset_path_resolution(tmp_path, monkeypatch):

@@ -103,11 +103,10 @@ def test_ps_single_step_matches_closed_form():
     feasible = FeasibleSet.ball2(np.zeros(2), 1.0)
     problem = smooth_only_problem(lambda x: 0.5 * float(x @ x), lambda x: np.asarray(x),
                                   feasible, L=1.0)
-    sched = basic_schedule(problem, N=1)
     x = np.array([0.4, -0.2])
     h_grad = np.array([1.0, 2.0])
     beta = 1.0
-    u_last, u_avg = ps_procedure(problem, sched, h_grad, x, beta, T=1)
+    u_last, u_avg = ps_procedure(problem, h_grad, x, beta, T=1)
     # estimator contributes zero for f = 0, so the step is the pure prox:
     # argmin <h_grad, u> + beta V(x, u) + beta p_1 V(u_0, u) with p_1 = 1/2
     expected = (beta * x + beta * 0.5 * x - h_grad) / (beta * 1.5)
@@ -128,7 +127,7 @@ def test_zosa_single_outer_iteration_collapses_blends():
     x0 = np.array([0.9, 0.0, 0.0])
     x_bar, trace = zosa_run(problem, sched, x0, checkpoints=1)
     # gamma_1 = 1: the model point is x0 and x_bar_1 equals the PS average
-    _, u_avg = ps_procedure(problem, sched, problem._g_grad(x0), x0, sched.beta(1), 1)
+    _, u_avg = ps_procedure(problem, problem._g_grad(x0), x0, sched.beta(1), 1)
     assert x_bar == pytest.approx(u_avg)
 
 
