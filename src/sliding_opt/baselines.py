@@ -93,8 +93,8 @@ def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_
     reporter = _Reporter(cfg, problem, x)
     marks = _checkpoint_steps(max(cfg.N_steps, 1), checkpoints)
     for t in range(1, cfg.N_steps + 1):
-        d = direction_fn(x, t)
         with np.errstate(over="ignore", invalid="ignore"):
+            d = direction_fn(x, t)
             target = x - cfg.step_size(t) * d
         if not np.all(np.isfinite(target)):
             raise SolverAbort(f"non-finite iterate at step {t}",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -109,6 +110,41 @@ class FeasibleSet:
         return bool(np.all(np.isfinite(x)))
 
 
+def _whole_space(feasible: FeasibleSet, z: np.ndarray) -> np.ndarray:
+    return z.copy()
+
+
+def _box(feasible: FeasibleSet, z: np.ndarray) -> np.ndarray:
+    # np.clip's value on finite input, without its per-call dispatch
+    return np.minimum(np.maximum(z, feasible.lo), feasible.hi)
+
+
+def _ball2(feasible: FeasibleSet, z: np.ndarray) -> np.ndarray:
+    d = z - feasible.center
+    nd = float(np.linalg.norm(d))
+    if nd <= feasible.radius:
+        return z.copy()
+    return feasible.center + d * (feasible.radius / nd)
+
+
+def _simplex(feasible: FeasibleSet, z: np.ndarray) -> np.ndarray:
+    u = np.sort(z)[::-1]
+    cssv = np.cumsum(u)
+    rho = int(np.nonzero(u * np.arange(1, z.size + 1) > (cssv - 1.0))[0][-1])
+    theta = (cssv[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(z - theta, 0.0)
+
+
+_PROJECTORS = {"whole_space": _whole_space, "box": _box, "ball2": _ball2, "simplex": _simplex}
+
+
+def projector(feasible: FeasibleSet):
+    """The projection of `project` for one set, without its checks: a
+    function of z that the caller guarantees is a finite 1-d float vector of
+    the set's dimension. Returns a new array."""
+    return partial(_PROJECTORS[feasible.kind], feasible)
+
+
 def project(feasible: FeasibleSet, z) -> np.ndarray:
     """Euclidean projection of z onto the set.
 
@@ -121,22 +157,7 @@ def project(feasible: FeasibleSet, z) -> np.ndarray:
         raise ValueError("z: must be finite")
     if z.size != feasible.n:
         raise ValueError(f"z: expected dimension {feasible.n}, got {z.size}")
-    if feasible.kind == "whole_space":
-        return z.copy()
-    if feasible.kind == "box":
-        return np.clip(z, feasible.lo, feasible.hi)
-    if feasible.kind == "ball2":
-        d = z - feasible.center
-        nd = float(np.linalg.norm(d))
-        if nd <= feasible.radius:
-            return z.copy()
-        return feasible.center + d * (feasible.radius / nd)
-    # simplex
-    u = np.sort(z)[::-1]
-    cssv = np.cumsum(u)
-    rho = int(np.nonzero(u * np.arange(1, z.size + 1) > (cssv - 1.0))[0][-1])
-    theta = (cssv[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(z - theta, 0.0)
+    return _PROJECTORS[feasible.kind](feasible, z)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ class LogRegLassoInstance:
         return np.asarray(self.A.T @ coeff).ravel()
 
     def f_value(self, x) -> float:
-        return self.l1 * float(np.sum(np.abs(x)))
+        return self.l1 * float(np.add.reduce(np.abs(x)))
 
     def f_subgrad(self, x) -> np.ndarray:
         return self.l1 * np.sign(np.asarray(x, dtype=float))
@@ -229,7 +229,7 @@ class NesterovLassoInstance:
         return self.L / 4.0 * Tx
 
     def f_value(self, x) -> float:
-        return self.l1 * float(np.sum(np.abs(x)))
+        return self.l1 * float(np.add.reduce(np.abs(x)))
 
     def f_subgrad(self, x) -> np.ndarray:
         return self.l1 * np.sign(np.asarray(x, dtype=float))
@@ -270,7 +270,7 @@ class SeparableLassoInstance:
         return self.h * (np.asarray(x, dtype=float) - self.z)
 
     def f_value(self, x) -> float:
-        return self.lam * float(np.sum(np.abs(x)))
+        return self.lam * float(np.add.reduce(np.abs(x)))
 
     def f_subgrad(self, x) -> np.ndarray:
         return self.lam * np.sign(np.asarray(x, dtype=float))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ProximalSetup, prox_step
+from .geometry import ProximalSetup, projector
 from .oracles import Counters, EstimatorError, SmoothingEstimator
 from .trace import RunTrace, TraceRow
 
@@ -38,8 +38,6 @@ class SlidingSchedule:
     D_tilde: float
     N: int
     T_cap: int = 10 ** 6
-    c_const: float = 1.0
-    C_const: float = 1.0
 
     def beta(self, k: int) -> float:
         return 2.0 * self.L / k
@@ -76,8 +74,7 @@ def build_schedule(*, L: float, M_est: float, n: int, C1: float, p_star: float,
     M_tilde = c_const * math.sqrt(n) * C1 * M_est
     sigma_sq = 4.0 * p_star ** 2 * (C_const * n * M_est ** 2 + (n * Delta / r) ** 2)
     return SlidingSchedule(L=L, mu=mu, M_est=M_est, M_tilde=M_tilde, sigma_sq=sigma_sq,
-                           D_tilde=D_tilde, N=N, T_cap=T_cap,
-                           c_const=c_const, C_const=C_const)
+                           D_tilde=D_tilde, N=N, T_cap=T_cap)
 
 
 @dataclass
@@ -173,7 +170,8 @@ def _checkpoint_steps(N: int, checkpoints: int):
 
 def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, k: int, phase: int,
             wall0: float, bound: float | None):
-    psi0 = problem.psi0(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi0 = problem.psi0(x)
     if not np.isfinite(psi0):
         raise SolverAbort(f"non-finite objective {psi0} at checkpoint",
                           SolverState(k=k, t=0, phase=phase, x=x))
@@ -222,18 +220,39 @@ def ps_procedure(problem: CompositeProblem, h_grad, x_anchor, beta: float, T: in
     Starting from the anchor, T steps of: draw a fresh gradient estimate at
     the current point, take the doubly-regularized prox step, fold the result
     into the weighted running average. Returns (last iterate, average).
+
+    The setup must be Euclidean (half_sq_euclid). Its prox step is inlined
+    with prox_step's operations in prox_step's order, so the iterates are
+    the same bits; the inputs are checked once per call, not per step.
     """
-    u = np.array(x_anchor, dtype=float, copy=True)
-    u_tilde = u.copy()
-    estimator = problem.estimator
     setup = problem.setup
+    estimator = problem.estimator
+    n = setup.feasible.n
+    if beta <= 0:
+        raise ValueError("beta: must be > 0")
+    if setup.dgf_id != "half_sq_euclid":
+        raise ValueError(f"ps_procedure: needs the half_sq_euclid setup, got '{setup.dgf_id}'")
+    x_anchor = np.asarray(x_anchor, dtype=float)
+    h_grad = np.asarray(h_grad, dtype=float)
+    if x_anchor.shape != (n,) or h_grad.shape != (n,) or estimator.n != n:
+        raise ValueError(f"ps_procedure: x_anchor {x_anchor.shape}, h_grad {h_grad.shape} and "
+                         f"estimator dimension {estimator.n} must match the set's {n}")
+    proj = projector(setup.feasible)
+    bx = beta * x_anchor
+    u = x_anchor.copy()
+    u_tilde = u.copy()
     for t in range(1, T + 1):
         try:
             ghat = estimator.estimate_gradient(u)
         except EstimatorError as err:
             raise SolverAbort(str(err), SolverState(k=k, t=t, phase=phase, x=u)) from err
         a = h_grad + ghat
-        u = prox_step(setup, a, x_anchor, u, beta, 0.5 * t)
+        p = 0.5 * t
+        target = (bx + beta * p * u - a) / (beta * (1.0 + p))
+        if not np.isfinite(target).all():
+            raise SolverAbort("non-finite prox target",
+                              SolverState(k=k, t=t, phase=phase, x=u))
+        u = proj(target)
         if t == 1:
             u_tilde = u.copy()
         else:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sliding_opt.baselines import BaselineConfig, gd_run, zogd_run
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
+from sliding_opt.harness import RunConfig, run
 from sliding_opt.network import (Graph, NetworkProblem, build_laplacian, lift_to_penalized)
 from sliding_opt.oracles import NoisyZeroOrderOracle, SmoothingEstimator
 from sliding_opt.problems import make_verification_instance, wire_composite
@@ -182,6 +185,17 @@ def test_zogd_aborts_when_values_blow_up():
     cfg = BaselineConfig(N_steps=3, step_rule="constant", eta=0.1, r=0.01)
     with pytest.raises(SolverAbort):
         zogd_run(problem, cfg, np.zeros(n), rng=np.random.default_rng(1))
+
+
+def test_gd_divergence_aborts_without_overflow_warnings():
+    # an oversized step from compare's tuning grid: the node subgradients and
+    # then the checkpoint's clean value overflow before the run aborts
+    cfg = RunConfig(experiment="geom_median", method="gd", seed=1, n=3, m=5,
+                    topology="star", R=100.0, N=200, checkpoints=10, eta_scale=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverAbort):
+            run(cfg)
 
 
 def test_zogd_full_value_queries_cost_communication_on_lifted_problems():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
+from sliding_opt.geometry import FeasibleSet, NormPair, make_setup, projector, prox_step
 from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
 from sliding_opt.problems import (make_strongly_convex_instance, make_verification_instance,
                                   wire_composite)
@@ -115,6 +118,89 @@ def test_ps_single_step_matches_closed_form():
         expected = expected / nrm
     assert u_last == pytest.approx(expected)
     assert u_avg == pytest.approx(u_last)
+
+
+class _ScriptedEstimator:
+    """Stands in for the smoothing estimator: hands out the given gradient
+    estimates in turn and records each point it is asked at."""
+
+    def __init__(self, ghats):
+        self.n = ghats.shape[1]
+        self.oracle = NoisyZeroOrderOracle(lambda x: 0.0, M=0.0, s=1.0)
+        self._ghats = iter(ghats)
+        self.at = []
+
+    def estimate_gradient(self, x):
+        self.at.append(x.copy())
+        return next(self._ghats)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_N = 4
+_finite = st.floats(-1e3, 1e3)
+_vec = arrays(np.float64, _N, elements=_finite)
+_steps = st.integers(1, 6).flatmap(
+    lambda T: arrays(np.float64, (T, _N), elements=_finite))
+
+
+@pytest.mark.parametrize("feasible", [
+    FeasibleSet.whole_space(_N, 10.0),
+    FeasibleSet.box(-np.ones(_N), 2.0 * np.ones(_N)),
+    FeasibleSet.ball2(np.full(_N, 0.5), 1.0),
+], ids=["whole_space", "box", "ball2"])
+@settings(max_examples=150, deadline=None)
+@given(x_anchor=_vec, h_grad=_vec, ghats=_steps, beta=st.floats(1e-3, 1e3))
+def test_ps_inner_step_is_prox_step_bit_for_bit(feasible, x_anchor, h_grad, ghats, beta):
+    # estimates up to 1e3 against sets of size 1 put most targets outside the
+    # box and the ball, so the projection is exercised, not only the identity
+    setup = make_setup(NormPair.euclidean(), feasible, "half_sq_euclid")
+    est = _ScriptedEstimator(ghats)
+    problem = CompositeProblem(setup, lambda x: 0.0, lambda x: np.zeros(_N), est, L=1.0)
+    u_last, _ = ps_procedure(problem, h_grad, x_anchor, beta, len(ghats))
+    iterates = est.at[1:] + [u_last]
+    for t, (u_prev, ghat, u) in enumerate(zip(est.at, ghats, iterates), start=1):
+        expected = prox_step(setup, h_grad + ghat, x_anchor, u_prev, beta, 0.5 * t)
+        assert _same_bits(u, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_vec, ends=arrays(np.float64, (2, _N), elements=_finite))
+def test_box_projector_is_clip_on_finite_input(z, ends):
+    lo, hi = np.sort(ends, axis=0)
+    assert _same_bits(projector(FeasibleSet.box(lo, hi))(z), np.clip(z, lo, hi))
+
+
+def test_ps_aborts_on_non_finite_prox_target():
+    # beta = 2L/k is tiny for a small L, so a huge but finite h_grad puts
+    # the prox target past the largest float
+    feasible = FeasibleSet.whole_space(2, 10.0)
+    problem = smooth_only_problem(lambda x: 0.0, lambda x: np.zeros(2), feasible, L=1e-10)
+    x = np.array([0.1, -0.2])
+    with np.errstate(over="ignore"), pytest.raises(SolverAbort) as err:
+        ps_procedure(problem, np.array([1e300, 0.0]), x, 2e-10, T=3, k=4, phase=2)
+    state = err.value.state
+    assert (state.k, state.t, state.phase) == (4, 1, 2)
+    assert np.array_equal(state.x, x)
+
+
+def test_ps_rejects_entropy_setup_and_mismatched_shapes():
+    simplex = make_setup(NormPair.l1(3), FeasibleSet.simplex(3), "entropy")
+    euclid = smooth_only_problem(lambda x: 0.0, lambda x: np.zeros(3),
+                                 FeasibleSet.whole_space(3, 10.0), L=1.0)
+    entropy = CompositeProblem(simplex, lambda x: 0.0, lambda x: np.zeros(3),
+                               euclid.estimator, L=1.0)
+    x = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="half_sq_euclid"):
+        ps_procedure(entropy, np.zeros(3), x, 1.0, T=1)
+    with pytest.raises(ValueError):
+        ps_procedure(euclid, np.zeros(2), x, 1.0, T=1)
+    with pytest.raises(ValueError):
+        ps_procedure(euclid, np.zeros(3), x[:2], 1.0, T=1)
+    with pytest.raises(ValueError, match="beta"):
+        ps_procedure(euclid, np.zeros(3), x, 0.0, T=1)
 
 
 # -- convex solver -----------------------------------------------------------
