@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, get_args, get_type_hints
 
@@ -352,8 +353,7 @@ def _build_smooth_lasso(cfg: RunConfig, inst, n: int, l1: float, L: float) -> _B
         reference = {"kind": "prox_grad", "value": ref["value"],
                      "iterations": ref["iterations"], "tol": ref["tol"]}
     problem = CompositeProblem(setup, inst.g_value, inst.g_grad, est,
-                               psi0_reference=psi0_ref, f_subgrad=inst.f_subgrad,
-                               L=L, mu=0.0)
+                               psi0_reference=psi0_ref, f_subgrad=inst.f_subgrad, L=L)
     return _Build(problem=problem, x0=np.zeros(n), delta_max=sugg["delta_max"],
                   quiet_grad=inst.g_grad,
                   derived={"nonconforming_compactness": True, "bound_hint": bound_hint},
@@ -604,10 +604,18 @@ def config_from_metadata(metadata: dict) -> RunConfig:
 
 
 def replay(trace_or_path) -> RunTrace:
-    """Re-execute the run recorded in a trace; the body must come out identical."""
+    """Re-execute the run recorded in a trace; the body must come out identical.
+
+    A trace written by another package version is still replayed, with a
+    UserWarning naming both versions: its body may legitimately differ.
+    """
     trace = trace_or_path
     if not isinstance(trace, RunTrace):
         trace = RunTrace.from_csv(trace_or_path)
+    recorded, installed = trace.metadata.get("version"), _package_version()
+    if recorded != installed:
+        warnings.warn(f"replay: trace written by sliding-opt {recorded}, "
+                      f"installed version is {installed}", UserWarning, stacklevel=2)
     cfg = config_from_metadata(trace.metadata)
     cfg.out_path = None
     return run(cfg)

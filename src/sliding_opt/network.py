@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FeasibleSet, NormPair, make_setup
-from .oracles import Counters, SmoothingEstimator
+from .oracles import Counters, NodeTerm, SmoothingEstimator
 from .sliding import CompositeProblem
 
 # Relative threshold separating the zero eigenvalue from the connectivity eigenvalue.
@@ -215,29 +215,65 @@ class NetworkProblem:
 
 class _LiftedOracle:
     """Stacked zero-order oracle: one call evaluates every node's local term
-    on its own block (each node oracle counts one call) and averages. The
-    stacked call counts into the network's counters."""
+    on its own block, adds each node's noise and averages; the stacked call
+    counts into the network's counters and one call into each node's.
+
+    The m terms are evaluated in one block: by their instance's node_values
+    when the nodes are the NodeTerms 0..m-1 of one instance, else one f_clean
+    call per node. Zero and sine noise are vectorized; other noise is drawn
+    node by node, each node from its own model in node order. The average is
+    summed left to right, as a Python loop over the nodes would.
+    """
 
     def __init__(self, net: NetworkProblem):
         self.net = net
-        self.M = max(o.M for o in net.node_oracles) / np.sqrt(net.m)
-        self.s = min(o.s for o in net.node_oracles)
-        self.Delta = max(o.Delta for o in net.node_oracles)
+        oracles = net.node_oracles
+        self.M = max(o.M for o in oracles) / np.sqrt(net.m)
+        self.s = min(o.s for o in oracles)
+        self.Delta = max(o.Delta for o in oracles)
         self.counters = net.counters
+        self._node_counters = list({id(o.counters): o.counters for o in oracles}.values())
+        self._shape = (net.m, net.n)
+        self._values = _block_values([o.f_clean for o in oracles])
+        self._noise = _block_noise([o.noise for o in oracles])
+
+    def _mean(self, vals) -> float:
+        # add.accumulate sums in order; + 0.0 gives the sign a sum from 0.0 has
+        return float(np.add.accumulate(vals)[-1] + 0.0) / self.net.m
 
     def evaluate(self, x) -> float:
         self.counters.zo_calls += 1
-        net = self.net
-        blocks = np.asarray(x, dtype=float).reshape(net.m, net.n)
-        total = 0.0
-        for oracle, block in zip(net.node_oracles, blocks):
-            total += oracle.evaluate(block)
-        return total / net.m
+        for c in self._node_counters:
+            c.zo_calls += 1
+        X = np.asarray(x, dtype=float).reshape(self._shape)
+        return self._mean(self._values(X) + self._noise(X))
 
     def clean_value(self, x) -> float:
-        net = self.net
-        blocks = np.asarray(x, dtype=float).reshape(net.m, net.n)
-        return sum(o.clean_value(b) for o, b in zip(net.node_oracles, blocks)) / net.m
+        return self._mean(self._values(np.asarray(x, dtype=float).reshape(self._shape)))
+
+
+def _block_values(terms):
+    """X -> the m node values, row i of X being node i's point."""
+    owner = getattr(terms[0], "instance", None)
+    if getattr(owner, "m", None) == len(terms) and all(
+            isinstance(t, NodeTerm) and t.instance is owner and t.i == i
+            for i, t in enumerate(terms)):
+        return owner.node_values
+    return lambda X: np.array([float(f(row)) for f, row in zip(terms, X)])
+
+
+def _block_noise(models):
+    """X -> the m nodes' noise: 0.0 for zero noise, as a zero-noise oracle adds."""
+    noisy = [nm.kind != "zero" and nm.Delta != 0.0 for nm in models]
+    if not any(noisy):
+        return lambda X: 0.0
+    if all(noisy) and all(nm.kind == "adversarial_sine" for nm in models):
+        Omega = np.stack([nm.omega for nm in models])
+        Delta = np.array([nm.Delta for nm in models])
+        scale = np.array([nm.sine_scale for nm in models])
+        # row-wise omega_i @ x_i with the dot kernel NoiseModel.sample uses
+        return lambda X: Delta * np.sin((Omega[:, None, :] @ X[:, :, None]).ravel() / scale)
+    return lambda X: np.array([nm.sample(row) for nm, row in zip(models, X)])
 
 
 def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,

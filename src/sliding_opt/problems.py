@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FeasibleSet, NormPair, make_setup
-from .oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
+from .oracles import Counters, NodeTerm, NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
 from .sliding import CompositeProblem, suggest_r_delta
 
 
@@ -39,6 +39,13 @@ class GeometricMedianInstance:
     def node_value(self, i: int, x) -> float:
         return float(np.linalg.norm(np.asarray(x) - self.anchors[i]))
 
+    def node_values(self, X) -> np.ndarray:
+        """All m node values at once, row i of X being node i's point; each
+        equals node_value(i, X[i]) bit for bit."""
+        D = np.asarray(X) - self.anchors
+        # (1, n) @ (n, 1) per row runs the dot kernel of np.linalg.norm
+        return np.sqrt((D[:, None, :] @ D[:, :, None]).ravel())
+
     def node_subgrad(self, i: int, x) -> np.ndarray:
         d = np.asarray(x, dtype=float) - self.anchors[i]
         nd = float(np.linalg.norm(d))
@@ -52,11 +59,14 @@ class GeometricMedianInstance:
         return float(np.mean(np.linalg.norm(self.anchors - x, axis=1)))
 
     def make_node_oracles(self, *, s: float, noise_models: list | None = None) -> list:
+        """One oracle per node. They share one Counters, which reads calls per
+        node when the nodes are queried together, as a lifted oracle does."""
+        counters = Counters()
         oracles = []
         for i in range(self.m):
             noise = noise_models[i] if noise_models is not None else NoiseModel.zero()
-            oracles.append(NoisyZeroOrderOracle(
-                (lambda x, _i=i: self.node_value(_i, x)), M=1.0, s=s, noise=noise))
+            oracles.append(NoisyZeroOrderOracle(NodeTerm(self, i), M=1.0, s=s, noise=noise,
+                                                counters=counters))
         return oracles
 
 
@@ -341,8 +351,7 @@ def wire_composite(instance: SeparableLassoInstance, feasible: FeasibleSet, *,
     estimator = SmoothingEstimator(oracle, r=sugg["r"], n=n, norms=norms, rng=sphere_rng)
     problem = CompositeProblem(setup, instance.g_value, instance.g_grad, estimator,
                                psi0_reference=instance.optimal_value(),
-                               f_subgrad=instance.f_subgrad,
-                               L=instance.L, mu=instance.mu)
+                               f_subgrad=instance.f_subgrad, L=instance.L)
     return problem, sugg
 
 

@@ -128,7 +128,7 @@ class CompositeProblem:
 
     def __init__(self, setup: ProximalSetup, g_value, g_grad,
                  estimator: SmoothingEstimator, *, psi0_reference: float | None = None,
-                 f_subgrad=None, net=None, L: float | None = None, mu: float = 0.0):
+                 f_subgrad=None, net=None, L: float | None = None):
         self.setup = setup
         self._g_value = g_value
         self._g_grad = g_grad
@@ -139,7 +139,6 @@ class CompositeProblem:
         self.f_subgrad = f_subgrad
         self.net = net
         self.L = L
-        self.mu = mu
 
     def g(self, x) -> float:
         return float(self._g_value(x))

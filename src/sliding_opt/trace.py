@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 # 17 significant digits round-trips IEEE doubles exactly.
@@ -29,6 +31,67 @@ class TraceRow:
 _COLUMNS = ("step", "fo_calls", "zo_calls", "comm_rounds", "psi0",
             "gap_vs_reference", "consensus_sq_norm", "phase")
 
+# Cells per packed row: the ten TraceRow fields in declaration order.
+_WIDTH = 10
+
+
+class TraceRows(Sequence):
+    """A trace's rows, packed: ten doubles per row in one array('d') and one
+    byte per row whose bits 1, 2, 4 mark gap_vs_reference, consensus_sq_norm
+    and bound as None. Reading a row builds a TraceRow. Integer fields are
+    stored as doubles, exact up to 2**53, beyond any count a run reaches.
+    """
+
+    def __init__(self, rows=()):
+        self._cells = array("d")
+        self._none = bytearray()
+        for row in rows:
+            self.append(row)
+
+    @staticmethod
+    def _pack(row: TraceRow) -> tuple:
+        gap, cons, bound = row.gap_vs_reference, row.consensus_sq_norm, row.bound
+        cells = [row.step, row.fo_calls, row.zo_calls, row.comm_rounds, row.psi0,
+                 0.0 if gap is None else gap, 0.0 if cons is None else cons, row.phase,
+                 0.0 if bound is None else bound, row.wall_ms]
+        return cells, (gap is None) | (cons is None) << 1 | (bound is None) << 2
+
+    def append(self, row: TraceRow):
+        cells, none = self._pack(row)
+        self._cells.fromlist(cells)
+        self._none.append(none)
+
+    def __len__(self) -> int:
+        return len(self._none)
+
+    def __getitem__(self, i: int) -> TraceRow:
+        i = range(len(self))[i]
+        step, fo, zo, comm, psi0, gap, cons, phase, bound, wall = \
+            self._cells[_WIDTH * i:_WIDTH * (i + 1)]
+        none = self._none[i]
+        return TraceRow(int(step), int(fo), int(zo), int(comm), psi0,
+                        None if none & 1 else gap, None if none & 2 else cons, int(phase),
+                        None if none & 4 else bound, wall)
+
+    def last_counters(self) -> tuple:
+        """(fo_calls, zo_calls, comm_rounds) of the last row, without building it."""
+        c = self._cells
+        return c[1 - _WIDTH], c[2 - _WIDTH], c[3 - _WIDTH]
+
+    def __setitem__(self, i, row: TraceRow):
+        i = range(len(self))[i]
+        cells, none = self._pack(row)
+        self._cells[_WIDTH * i:_WIDTH * (i + 1)] = array("d", cells)
+        self._none[i] = none
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceRows):
+            return NotImplemented
+        return self._cells == other._cells and self._none == other._none
+
+    def __repr__(self) -> str:
+        return f"TraceRows({list(self)!r})"
+
 
 @dataclass
 class RunTrace:
@@ -37,17 +100,21 @@ class RunTrace:
     The CSV body (header row + data rows) contains only deterministic
     columns, so replaying a config+seed reproduces it byte for byte; wall
     times and other volatile diagnostics live in the '#' metadata block.
+    rows may be given as any iterable of TraceRow; it is kept as TraceRows.
     """
 
     metadata: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)
+    rows: TraceRows = field(default_factory=TraceRows)
     with_bound: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.rows, TraceRows):
+            self.rows = TraceRows(self.rows)
 
     def add_row(self, row: TraceRow):
         if self.rows:
-            last = self.rows[-1]
-            if (row.fo_calls < last.fo_calls or row.zo_calls < last.zo_calls
-                    or row.comm_rounds < last.comm_rounds):
+            fo, zo, comm = self.rows.last_counters()
+            if row.fo_calls < fo or row.zo_calls < zo or row.comm_rounds < comm:
                 raise ValueError("trace rows must have nondecreasing counters")
         self.rows.append(row)
 

@@ -2,10 +2,13 @@
 
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+import sliding_opt
 from sliding_opt.cli import main
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
 from sliding_opt.harness import (ConfigError, RunConfig, _finalize_metadata,
@@ -198,6 +201,17 @@ def test_replay_from_saved_file(tmp_path):
     assert os.path.exists(out)
     again = replay(out)
     assert again.body_text() == RunTrace.from_csv(out).body_text()
+
+
+def test_replay_warns_on_a_version_mismatch():
+    trace = run(base_cfg(seed=11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        replay(trace)  # same version: no warning
+    trace.metadata["version"] = "0.0.1"
+    with pytest.warns(UserWarning, match=r"0\.0\.1.*" + re.escape(sliding_opt.__version__)):
+        again = replay(trace)
+    assert again.body_text() == trace.body_text()
 
 
 def test_zosa_counters_fo_equals_N():

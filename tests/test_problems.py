@@ -248,7 +248,7 @@ def test_wire_composite_exposes_exact_reference():
                                    sphere_rng=np.random.default_rng(0))
     assert problem.psi0_reference == pytest.approx(inst.optimal_value())
     assert problem.estimator.r == pytest.approx(sugg["r"])
-    assert problem.L == inst.L and problem.mu == inst.mu
+    assert problem.L == inst.L
     assert problem.psi0(inst.minimizer()) == pytest.approx(inst.optimal_value())
 
 

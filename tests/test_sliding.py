@@ -15,8 +15,7 @@ from sliding_opt.sliding import (Budgets, CompositeProblem, RestartConfig, Solve
                                  suggest_r_delta, theoretical_bound, zosa_run)
 
 
-def smooth_only_problem(g_value, g_grad, feasible, *, L, mu=0.0, r=1e-3, reference=None,
-                        seed=0):
+def smooth_only_problem(g_value, g_grad, feasible, *, L, r=1e-3, reference=None, seed=0):
     """Composite problem with f identically zero (estimator returns exact zeros)."""
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
@@ -24,7 +23,7 @@ def smooth_only_problem(g_value, g_grad, feasible, *, L, mu=0.0, r=1e-3, referen
     est = SmoothingEstimator(oracle, r=r, n=feasible.n, norms=norms,
                              rng=np.random.default_rng(seed))
     return CompositeProblem(setup, g_value, g_grad, est, psi0_reference=reference,
-                            f_subgrad=lambda x: np.zeros(feasible.n), L=L, mu=mu)
+                            f_subgrad=lambda x: np.zeros(feasible.n), L=L)
 
 
 def basic_schedule(problem, *, N, M_est=0.0, Delta=0.0, r=1e-3, mu=0.0, T_cap=10 ** 6):
@@ -333,8 +332,7 @@ def test_restart_default_phase_length():
 
 def test_mzosa_zero_phases_returns_start():
     instance, feasible = make_strongly_convex_instance(4, seed=1)
-    problem = smooth_only_problem(instance.g_value, instance.g_grad, feasible,
-                                  L=instance.L, mu=instance.mu)
+    problem = smooth_only_problem(instance.g_value, instance.g_grad, feasible, L=instance.L)
     sched = basic_schedule(problem, N=4, mu=instance.mu)
     y0 = np.zeros(4)
     y, trace = mzosa_run(problem, sched, RestartConfig(rho0=1.0, phases=0), y0)
@@ -355,7 +353,7 @@ def test_mzosa_halves_gap_each_phase_and_counts_first_order_calls():
     instance, feasible = make_strongly_convex_instance(6, seed=8, lam=0.0)
     reference = instance.optimal_value()
     problem = smooth_only_problem(instance.g_value, instance.g_grad, feasible,
-                                  L=instance.L, mu=instance.mu, reference=reference)
+                                  L=instance.L, reference=reference)
     x0 = np.clip(instance.z + 1.0, -2.0, 2.0)
     rho0 = problem.psi0(x0) - reference
     sched = basic_schedule(problem, N=1, mu=instance.mu)

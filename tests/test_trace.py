@@ -1,5 +1,11 @@
+import math
+import struct
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliding_opt.trace import RunTrace, TraceRow, format_float
 
@@ -72,3 +78,70 @@ def test_final_row_and_empty_trace():
     assert trace.final().step == 3
     with pytest.raises(ValueError):
         RunTrace().final()
+
+
+# -- packed rows ---------------------------------------------------------------
+
+_ints = st.integers(-2 ** 53, 2 ** 53)
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan))
+_rows = st.builds(TraceRow, step=_ints, fo_calls=_ints, zo_calls=_ints, comm_rounds=_ints,
+                  psi0=_floats, gap_vs_reference=st.none() | _floats,
+                  consensus_sq_norm=st.none() | _floats, phase=_ints,
+                  bound=st.none() | _floats, wall_ms=_floats)
+
+
+def same_cell(a, b):
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, int):
+        return type(b) is int and a == b
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def same_row(a, b):
+    return all(same_cell(getattr(a, f.name), getattr(b, f.name)) for f in fields(TraceRow))
+
+
+def list_body(rows, with_bound):
+    """The CSV body as it was written from a list of TraceRow."""
+    cols = ["step", "fo_calls", "zo_calls", "comm_rounds", "psi0", "gap_vs_reference",
+            "consensus_sq_norm", "phase"] + (["bound"] if with_bound else [])
+    opt = lambda v: "" if v is None else format_float(v)
+    lines = [",".join(cols)]
+    for r in rows:
+        cells = [str(r.step), str(r.fo_calls), str(r.zo_calls), str(r.comm_rounds),
+                 format_float(r.psi0), opt(r.gap_vs_reference), opt(r.consensus_sq_norm),
+                 str(r.phase)] + ([opt(r.bound)] if with_bound else [])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_rows, min_size=1, max_size=8), with_bound=st.booleans(), data=st.data())
+def test_packed_rows_round_trip_exactly(tmp_path_factory, rows, with_bound, data):
+    trace = RunTrace(metadata={"config.seed": "1"}, rows=rows, with_bound=with_bound)
+    assert len(trace.rows) == len(rows)
+    assert all(same_row(a, b) for a, b in zip(trace.rows, rows))
+    assert same_row(trace.final(), rows[-1])
+    assert all(same_row(trace.rows[i], rows[i]) for i in range(-len(rows), len(rows)))
+    assert trace.body_text() == list_body(rows, with_bound)
+
+    path = tmp_path_factory.mktemp("trace") / "run.csv"
+    trace.to_csv(path)
+    back = RunTrace.from_csv(path)
+    assert back.body_text() == trace.body_text()
+    assert back.to_text() == trace.to_text()
+
+    copy = replace(trace, rows=list(trace.rows))
+    i = data.draw(st.integers(-len(rows), len(rows) - 1))
+    new = data.draw(_rows)
+    copy.rows[i] = new
+    assert same_row(copy.rows[i], new)
+    assert all(same_row(a, b) for a, b in zip(trace.rows, rows))
+
+
+def test_rows_are_held_packed():
+    trace = sample_trace()
+    assert not any(isinstance(v, TraceRow) for v in vars(trace.rows).values())
+    assert trace.rows == RunTrace(rows=list(trace.rows)).rows
