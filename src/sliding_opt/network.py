@@ -220,9 +220,9 @@ class _LiftedOracle:
 
     The m terms are evaluated in one block: by their instance's node_values
     when the nodes are the NodeTerms 0..m-1 of one instance, else one f_clean
-    call per node. Zero and sine noise are vectorized; other noise is drawn
-    node by node, each node from its own model in node order. The average is
-    summed left to right, as a Python loop over the nodes would.
+    call per node. Zero noise adds 0.0; other noise is drawn node by node,
+    each node from its own model in node order. The average is summed left
+    to right, as a Python loop over the nodes would.
     """
 
     def __init__(self, net: NetworkProblem):
@@ -232,7 +232,7 @@ class _LiftedOracle:
         self.s = min(o.s for o in oracles)
         self.Delta = max(o.Delta for o in oracles)
         self.counters = net.counters
-        self._node_counters = list({id(o.counters): o.counters for o in oracles}.values())
+        self._node_counters = [o.counters for o in oracles]
         self._shape = (net.m, net.n)
         self._values = _block_values([o.f_clean for o in oracles])
         self._noise = _block_noise([o.noise for o in oracles])
@@ -267,12 +267,6 @@ def _block_noise(models):
     noisy = [nm.kind != "zero" and nm.Delta != 0.0 for nm in models]
     if not any(noisy):
         return lambda X: 0.0
-    if all(noisy) and all(nm.kind == "adversarial_sine" for nm in models):
-        Omega = np.stack([nm.omega for nm in models])
-        Delta = np.array([nm.Delta for nm in models])
-        scale = np.array([nm.sine_scale for nm in models])
-        # row-wise omega_i @ x_i with the dot kernel NoiseModel.sample uses
-        return lambda X: Delta * np.sin((Omega[:, None, :] @ X[:, :, None]).ravel() / scale)
     return lambda X: np.array([nm.sample(row) for nm, row in zip(models, X)])
 
 

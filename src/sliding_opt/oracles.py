@@ -101,11 +101,6 @@ class NoiseModel:
         omega = _as_vector(omega, "omega")
         return NoiseModel("adversarial_sine", Delta=float(Delta), omega=omega, scale=scale)
 
-    @property
-    def sine_scale(self) -> float:
-        """The divisor of <omega, x> in the sine model."""
-        return self.scale if self.scale is not None else max(self.Delta, 1e-30)
-
     def sample(self, x) -> float:
         if self.kind == "zero" or self.Delta == 0.0:
             return 0.0
@@ -113,7 +108,8 @@ class NoiseModel:
             # numpy's uniform(low, high) is low + (high - low) * next_double;
             # the same two operations on random() give the same value.
             return -self.Delta + 2.0 * self.Delta * self.rng.random()
-        return self.Delta * float(np.sin(float(self.omega @ np.asarray(x)) / self.sine_scale))
+        scale = self.scale if self.scale is not None else max(self.Delta, 1e-30)
+        return self.Delta * float(np.sin(float(self.omega @ np.asarray(x)) / scale))
 
 
 @dataclass(frozen=True)
@@ -139,12 +135,11 @@ class NoisyZeroOrderOracle:
     M bounds the Lipschitz constant (sup ||grad f(x)||_2), s is the radius
     of the neighborhood of the feasible set on which queries stay valid.
     clean_value bypasses both noise and the counter and exists for
-    diagnostics and trace checkpoints only. Oracles may share one counters
-    object (the nodes of a network do).
+    diagnostics and trace checkpoints only.
     """
 
     def __init__(self, f_clean: Callable[[np.ndarray], float], *, M: float, s: float,
-                 noise: NoiseModel | None = None, counters: Counters | None = None):
+                 noise: NoiseModel | None = None):
         if M < 0:
             raise ValueError("M: must be >= 0")
         if s <= 0:
@@ -155,7 +150,7 @@ class NoisyZeroOrderOracle:
         self.noise = noise if noise is not None else NoiseModel.zero()
         self.Delta = self.noise.Delta
         self._noisy = not (self.noise.kind == "zero" or self.noise.Delta == 0.0)
-        self.counters = counters if counters is not None else Counters()
+        self.counters = Counters()
 
     def evaluate(self, x) -> float:
         self.counters.zo_calls += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FeasibleSet, NormPair, make_setup
-from .oracles import Counters, NodeTerm, NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
+from .oracles import NodeTerm, NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
 from .sliding import CompositeProblem, suggest_r_delta
 
 
@@ -59,14 +59,10 @@ class GeometricMedianInstance:
         return float(np.mean(np.linalg.norm(self.anchors - x, axis=1)))
 
     def make_node_oracles(self, *, s: float, noise_models: list | None = None) -> list:
-        """One oracle per node. They share one Counters, which reads calls per
-        node when the nodes are queried together, as a lifted oracle does."""
-        counters = Counters()
         oracles = []
         for i in range(self.m):
             noise = noise_models[i] if noise_models is not None else NoiseModel.zero()
-            oracles.append(NoisyZeroOrderOracle(NodeTerm(self, i), M=1.0, s=s, noise=noise,
-                                                counters=counters))
+            oracles.append(NoisyZeroOrderOracle(NodeTerm(self, i), M=1.0, s=s, noise=noise))
         return oracles
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 
 # 17 significant digits round-trips IEEE doubles exactly.
@@ -35,11 +35,15 @@ _COLUMNS = ("step", "fo_calls", "zo_calls", "comm_rounds", "psi0",
 _WIDTH = 10
 
 
-class TraceRows(Sequence):
+class TraceRows(MutableSequence):
     """A trace's rows, packed: ten doubles per row in one array('d') and one
     byte per row whose bits 1, 2, 4 mark gap_vs_reference, consensus_sq_norm
-    and bound as None. Reading a row builds a TraceRow. Integer fields are
-    stored as doubles, exact up to 2**53, beyond any count a run reaches.
+    and bound as None. Integer fields are stored as doubles, exact up to
+    2**53, beyond any count a run reaches.
+
+    It behaves as a list of TraceRow, slices and list equality included, but
+    reading a row builds a new TraceRow: changing it leaves the trace as it
+    was; assign it back (rows[i] = row) to store the change.
     """
 
     def __init__(self, rows=()):
@@ -61,10 +65,19 @@ class TraceRows(Sequence):
         self._cells.fromlist(cells)
         self._none.append(none)
 
+    def insert(self, i: int, row: TraceRow):
+        n = len(self)
+        i = min(max(i + n if i < 0 else i, 0), n)    # list.insert's clamping
+        cells, none = self._pack(row)
+        self._cells[_WIDTH * i:_WIDTH * i] = array("d", cells)
+        self._none.insert(i, none)
+
     def __len__(self) -> int:
         return len(self._none)
 
-    def __getitem__(self, i: int) -> TraceRow:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]
         step, fo, zo, comm, psi0, gap, cons, phase, bound, wall = \
             self._cells[_WIDTH * i:_WIDTH * (i + 1)]
@@ -73,21 +86,28 @@ class TraceRows(Sequence):
                         None if none & 1 else gap, None if none & 2 else cons, int(phase),
                         None if none & 4 else bound, wall)
 
-    def last_counters(self) -> tuple:
-        """(fo_calls, zo_calls, comm_rounds) of the last row, without building it."""
-        c = self._cells
-        return c[1 - _WIDTH], c[2 - _WIDTH], c[3 - _WIDTH]
-
-    def __setitem__(self, i, row: TraceRow):
+    def __setitem__(self, i: int, row: TraceRow):
         i = range(len(self))[i]
         cells, none = self._pack(row)
         self._cells[_WIDTH * i:_WIDTH * (i + 1)] = array("d", cells)
         self._none[i] = none
 
+    def __delitem__(self, i: int):
+        i = range(len(self))[i]
+        del self._cells[_WIDTH * i:_WIDTH * (i + 1)]
+        del self._none[i]
+
+    def last_counters(self) -> tuple:
+        """(fo_calls, zo_calls, comm_rounds) of the last row, without building it."""
+        c = self._cells
+        return c[1 - _WIDTH], c[2 - _WIDTH], c[3 - _WIDTH]
+
     def __eq__(self, other):
-        if not isinstance(other, TraceRows):
-            return NotImplemented
-        return self._cells == other._cells and self._none == other._none
+        if isinstance(other, TraceRows):
+            return self._cells == other._cells and self._none == other._none
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"TraceRows({list(self)!r})"

@@ -56,7 +56,8 @@ def test_block_evaluate_equals_the_per_node_loop(m, n, seed, noise_kind, terms, 
         assert same_bits(lifted.evaluate(x), loop_value(ref, x))
         assert same_bits(lifted.clean_value(x), loop_value(ref, x, clean=True))
     assert net.counters.zo_calls == queries
-    assert all(o.counters.zo_calls == queries for o in net.node_oracles)
+    # each node keeps its own count, as it did under the per-node loop
+    assert all(o.counters.zo_calls == queries for o in net.node_oracles + ref.node_oracles)
 
 
 @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
@@ -64,7 +65,6 @@ def test_geometric_median_nodes_take_the_block_path(noise_kind):
     inst, net = build_net(5, 3, 0, noise_kind, "geom")
     lifted = _LiftedOracle(net)
     assert lifted._values == inst.node_values
-    assert len({id(o.counters) for o in net.node_oracles}) == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliding_opt.trace import RunTrace, TraceRow, format_float
+from sliding_opt.trace import RunTrace, TraceRow, TraceRows, format_float
 
 
 def sample_trace(with_bound=False):
@@ -125,6 +125,10 @@ def test_packed_rows_round_trip_exactly(tmp_path_factory, rows, with_bound, data
     assert all(same_row(a, b) for a, b in zip(trace.rows, rows))
     assert same_row(trace.final(), rows[-1])
     assert all(same_row(trace.rows[i], rows[i]) for i in range(-len(rows), len(rows)))
+    cut = slice(*data.draw(st.tuples(*[st.none() | st.integers(-9, 9)] * 2,
+                                     st.none() | st.integers(-3, 3).filter(bool))))
+    assert len(trace.rows[cut]) == len(rows[cut])
+    assert all(same_row(a, b) for a, b in zip(trace.rows[cut], rows[cut]))
     assert trace.body_text() == list_body(rows, with_bound)
 
     path = tmp_path_factory.mktemp("trace") / "run.csv"
@@ -139,6 +143,40 @@ def test_packed_rows_round_trip_exactly(tmp_path_factory, rows, with_bound, data
     copy.rows[i] = new
     assert same_row(copy.rows[i], new)
     assert all(same_row(a, b) for a, b in zip(trace.rows, rows))
+
+
+_edits = st.one_of(
+    st.tuples(st.just("append"), _rows), st.tuples(st.just("extend"), st.lists(_rows)),
+    st.tuples(st.just("insert"), st.integers(-12, 12), _rows),
+    st.tuples(st.just("pop"), st.integers(-12, 12)),
+    st.tuples(st.just("del"), st.integers(-12, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_rows, max_size=6), edits=st.lists(_edits, max_size=8))
+def test_packed_rows_edit_like_a_list(rows, edits):
+    packed, plain = TraceRows(rows), list(rows)
+    for op, *args in edits:
+        if op == "pop" or op == "del":
+            if not -len(plain) <= args[0] < len(plain):
+                continue
+            if op == "pop":
+                assert same_row(packed.pop(*args), plain.pop(*args))
+            else:
+                del packed[args[0]], plain[args[0]]
+        else:
+            getattr(packed, op)(*args)
+            getattr(plain, op)(*args)
+        assert len(packed) == len(plain)
+        assert all(same_row(a, b) for a, b in zip(packed, plain))
+
+
+def test_a_row_read_from_the_trace_is_a_copy():
+    trace = sample_trace()
+    trace.final().psi0 = 99.0
+    assert trace.final().psi0 == 1.0 / 3.0
+    assert trace.rows == list(trace.rows)
+    assert trace.rows[:1] == [trace.rows[0]]
 
 
 def test_rows_are_held_packed():
