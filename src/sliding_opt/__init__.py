@@ -8,7 +8,7 @@ baselines, a Laplacian-penalty layer that turns decentralized problems into
 single composite ones, experiment objectives, and a reproducible CLI harness.
 """
 
-from .geometry import FeasibleSet, NormPair, ProximalSetup, bregman, make_setup, project, prox_step
+from .geometry import FeasibleSet, NormPair, ProximalSetup, make_setup, project, prox_step
 from .oracles import (Counters, EstimatorError, NoiseModel, NoisyZeroOrderOracle,
                       SmoothingEstimator, default_p_star, sample_sphere)
 from .sliding import (Budgets, CompositeProblem, RestartConfig, SlidingSchedule, SolverAbort,

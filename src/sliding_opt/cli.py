@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ConfigError, compare, load_config, parse_seed_spec, run)
-from .network import Graph, GraphError, build_laplacian, read_edge_list
+from .harness import ConfigError, build_graph, compare, load_config, parse_seed_spec, run
+from .network import GraphError, build_laplacian
 from .oracles import EstimatorError
 from .sliding import SolverAbort
 from .trace import format_float
@@ -47,15 +47,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_inspect_graph(args) -> int:
-    if args.topology == "custom":
-        if not args.edge_file:
-            raise ConfigError("edge_file: required for topology = custom")
-        graph = read_edge_list(args.edge_file, m=args.m)
-    else:
-        factory = getattr(Graph, args.topology, None)
-        if factory is None:
-            raise ConfigError(f"topology: unknown '{args.topology}'")
-        graph = factory(args.m if args.m is not None else 20)
+    m = args.m if args.m is not None or args.topology == "custom" else 20
+    graph = build_graph(args.topology, m, args.edge_file)
     lap = build_laplacian(graph)
     print(f"topology = {graph.topology_tag}")
     print(f"m = {graph.m}")

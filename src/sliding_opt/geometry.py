@@ -1,4 +1,4 @@
-"""Norm pairs, feasible sets, Bregman divergences and the composite prox step."""
+"""Norm pairs, feasible sets, proximal setups and the composite prox step."""
 
 from __future__ import annotations
 
@@ -42,18 +42,6 @@ class NormPair:
             raise ValueError("n: must be >= 1")
         rn = float(np.sqrt(n))
         return NormPair("l1", "linf", 1.0, rn, rn)
-
-    def primal(self, v) -> float:
-        v = _as_vector(v, "v")
-        if self.primal_id == "euclidean":
-            return float(np.linalg.norm(v))
-        return float(np.sum(np.abs(v)))
-
-    def dual(self, v) -> float:
-        v = _as_vector(v, "v")
-        if self.dual_id == "euclidean":
-            return float(np.linalg.norm(v))
-        return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -210,24 +198,6 @@ def make_setup(norms: NormPair, feasible: FeasibleSet, dgf_id: str,
         else:
             D_XV = D_X
     return ProximalSetup(norms, feasible, dgf_id, float(D_X), float(D_XV))
-
-
-def bregman(setup: ProximalSetup, x, y) -> float:
-    """Bregman divergence V(x, y) of the setup's distance-generating function.
-
-    half_sq_euclid gives 0.5 * ||x - y||_2^2; entropy gives the simplex KL
-    divergence sum_i y_i ln(y_i / x_i) (x is the center, y the argument).
-    """
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"bregman: shape mismatch {x.shape} vs {y.shape}")
-    if setup.dgf_id == "half_sq_euclid":
-        d = x - y
-        return 0.5 * float(d @ d)
-    xs = np.maximum(x, _LOG_FLOOR)
-    terms = np.where(y > 0.0, y * (np.log(np.maximum(y, _LOG_FLOOR)) - np.log(xs)), 0.0)
-    return max(float(np.sum(terms)), 0.0)
 
 
 def prox_step(setup: ProximalSetup, a, x_anchor, u_prev, beta: float, p: float) -> np.ndarray:

@@ -21,8 +21,7 @@ from .baselines import BaselineConfig, gd_run, zogd_run
 from .geometry import FeasibleSet, NormPair, make_setup
 from .network import (NetworkProblem, Graph, build_laplacian, dual_bound_radius,
                       lift_to_penalized, penalty_coefficient, read_edge_list)
-from .oracles import (NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator,
-                      default_p_star)
+from .oracles import NoiseModel
 from .problems import (GeometricMedianInstance, NesterovLassoInstance, dataset_path,
                        make_strongly_convex_instance, make_verification_instance,
                        prox_grad_reference, read_libsvm, weiszfeld, wire_composite)
@@ -224,6 +223,13 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _check_topology(topology: str, edge_file: str | None):
+    _require(topology in TOPOLOGIES,
+             f"topology: must be one of {', '.join(TOPOLOGIES)}, got '{topology}'")
+    if topology == "custom":
+        _require(edge_file is not None, "edge_file: required for topology = custom")
+
+
 def validate(cfg: RunConfig):
     _require(cfg.experiment in EXPERIMENTS,
              f"experiment: must be one of {', '.join(EXPERIMENTS)}, got '{cfg.experiment}'")
@@ -262,10 +268,7 @@ def validate(cfg: RunConfig):
         _require(value is None or value > 0, f"{name}: must be > 0")
 
     if cfg.experiment == "geom_median":
-        _require(cfg.topology in TOPOLOGIES,
-                 f"topology: must be one of {', '.join(TOPOLOGIES)}, got '{cfg.topology}'")
-        if cfg.topology == "custom":
-            _require(cfg.edge_file is not None, "edge_file: required for topology = custom")
+        _check_topology(cfg.topology, cfg.edge_file)
     else:
         _require(cfg.max_comm_rounds is None,
                  "max_comm_rounds: only the decentralized experiment counts communication")
@@ -306,66 +309,52 @@ class _Build:
     reference: dict = field(default_factory=dict)
 
 
+def _wire_l1(cfg: RunConfig, inst, feasible: FeasibleSet, reference: dict,
+             derived: dict | None = None) -> _Build:
+    # the one wiring of the three l1 experiments; reference is solved by the caller
+    problem, sugg = wire_composite(
+        inst, feasible, eps=cfg.eps, Delta=cfg.Delta, noise_kind=cfg.noise_kind, r=cfg.r,
+        psi0_reference=reference.get("value"), sphere_rng=seed_stream(cfg.seed, "sphere"),
+        noise_rng=seed_stream(cfg.seed, "noise"))
+    return _Build(problem=problem, x0=np.zeros(inst.n), delta_max=sugg["delta_max"],
+                  quiet_grad=inst.g_grad, derived=derived or {}, reference=reference)
+
+
 def _build_synthetic(cfg: RunConfig) -> _Build:
     n = cfg.n if cfg.n else 10
-    lam = cfg.l1 if cfg.l1 is not None else 0.1
+    l1 = cfg.l1 if cfg.l1 is not None else 0.1
     L_target = cfg.L if cfg.L is not None else 1.0
     data_seed = stream_seed_int(cfg.seed, "data")
     if cfg.mu > 0:
         _require(cfg.mu <= L_target, "mu: must be <= L")
         inst, feasible = make_strongly_convex_instance(
-            n, data_seed, mu=cfg.mu, L=L_target, lam=lam, box_half=cfg.box_half)
+            n, data_seed, mu=cfg.mu, L=L_target, l1=l1, box_half=cfg.box_half)
     else:
         inst, feasible = make_verification_instance(
-            n, data_seed, lam=lam, box_half=cfg.box_half)
-    problem, sugg = wire_composite(
-        inst, feasible, eps=cfg.eps, Delta=cfg.Delta, noise_kind=cfg.noise_kind,
-        r=cfg.r, sphere_rng=seed_stream(cfg.seed, "sphere"),
-        noise_rng=seed_stream(cfg.seed, "noise"))
+            n, data_seed, l1=l1, box_half=cfg.box_half)
     reference = {}
-    if cfg.reference == "none":
-        problem.psi0_reference = None
-    else:
-        reference = {"kind": "closed_form", "value": float(inst.optimal_value())}
-    return _Build(problem=problem, x0=np.zeros(n), delta_max=sugg["delta_max"],
-                  quiet_grad=inst.g_grad, reference=reference)
-
-
-def _build_smooth_lasso(cfg: RunConfig, inst, n: int, l1: float, L: float) -> _Build:
-    # shared wiring for the worst-case and logistic objectives (whole space)
-    bound_hint = cfg.bound_hint if cfg.bound_hint is not None else 2.0 * math.sqrt(n)
-    norms = NormPair.euclidean()
-    setup = make_setup(norms, FeasibleSet.whole_space(n, bound_hint), "half_sq_euclid")
-    M_f = l1 * math.sqrt(n)
-    sugg = suggest_r_delta(cfg.eps, M_f, n, setup.D_X, default_p_star(norms, n))
-    r = cfg.r if cfg.r is not None else sugg["r"]
-    noise = NoiseModel.build(cfg.noise_kind, cfg.Delta, np.arange(1, n + 1, dtype=float),
-                             seed_stream(cfg.seed, "noise"))
-    oracle = NoisyZeroOrderOracle(inst.f_value, M=M_f, s=2.0 * r, noise=noise)
-    est = SmoothingEstimator(oracle, r=r, n=n, norms=norms,
-                             rng=seed_stream(cfg.seed, "sphere"))
-    reference = {}
-    psi0_ref = None
     if cfg.reference == "auto":
-        ref = prox_grad_reference(inst.g_value, inst.g_grad, l1, L, np.zeros(n),
-                                  max_iter=cfg.reference_max_iter)
-        psi0_ref = ref["value"]
+        reference = {"kind": "closed_form", "value": float(inst.optimal_value())}
+    return _wire_l1(cfg, inst, feasible, reference)
+
+
+def _build_smooth_lasso(cfg: RunConfig, inst) -> _Build:
+    # the worst-case and logistic objectives live on the whole space
+    bound_hint = cfg.bound_hint if cfg.bound_hint is not None else 2.0 * math.sqrt(inst.n)
+    reference = {}
+    if cfg.reference == "auto":
+        ref = prox_grad_reference(inst.g_value, inst.g_grad, inst.l1, inst.L,
+                                  np.zeros(inst.n), max_iter=cfg.reference_max_iter)
         reference = {"kind": "prox_grad", "value": ref["value"],
                      "iterations": ref["iterations"], "tol": ref["tol"]}
-    problem = CompositeProblem(setup, inst.g_value, inst.g_grad, est,
-                               psi0_reference=psi0_ref, f_subgrad=inst.f_subgrad, L=L)
-    return _Build(problem=problem, x0=np.zeros(n), delta_max=sugg["delta_max"],
-                  quiet_grad=inst.g_grad,
-                  derived={"nonconforming_compactness": True, "bound_hint": bound_hint},
-                  reference=reference)
+    return _wire_l1(cfg, inst, FeasibleSet.whole_space(inst.n, bound_hint), reference,
+                    {"nonconforming_compactness": True, "bound_hint": bound_hint})
 
 
 def _build_nesterov(cfg: RunConfig) -> _Build:
-    n = cfg.n if cfg.n else 50
     l1 = cfg.l1 if cfg.l1 is not None else 1e-3
     L = cfg.L if cfg.L is not None else 4.0
-    inst = NesterovLassoInstance(n=n, L=L, l1=l1)
-    return _build_smooth_lasso(cfg, inst, n, l1, L)
+    return _build_smooth_lasso(cfg, NesterovLassoInstance(n=cfg.n if cfg.n else 50, L=L, l1=l1))
 
 
 def _build_logreg(cfg: RunConfig) -> _Build:
@@ -377,18 +366,23 @@ def _build_logreg(cfg: RunConfig) -> _Build:
     inst = read_libsvm(path, l1=l1)
     if cfg.n and cfg.n != inst.n:
         raise ConfigError(f"n: dataset has {inst.n} features, config says {cfg.n}")
-    L = cfg.L if cfg.L is not None else inst.smoothness()
-    build = _build_smooth_lasso(cfg, inst, inst.n, l1, L)
+    inst.L = cfg.L if cfg.L is not None else inst.smoothness()
+    build = _build_smooth_lasso(cfg, inst)
     build.derived["dataset_rows"] = inst.m
     return build
 
 
+def build_graph(topology: str, m: int | None, edge_file: str | None) -> Graph:
+    """The mixing graph of a TOPOLOGIES name on m nodes; custom reads edge_file."""
+    _check_topology(topology, edge_file)
+    if topology == "custom":
+        return read_edge_list(edge_file, m=m)
+    return getattr(Graph, topology)(m)
+
+
 def _build_geom_median(cfg: RunConfig) -> _Build:
     n = cfg.n if cfg.n else 10
-    if cfg.topology == "custom":
-        graph = read_edge_list(cfg.edge_file, m=cfg.m)
-    else:
-        graph = getattr(Graph, cfg.topology)(cfg.m)
+    graph = build_graph(cfg.topology, cfg.m, cfg.edge_file)
     lap = build_laplacian(graph)
     m = graph.m
     inst = GeometricMedianInstance.sample(m, n, seed_stream(cfg.seed, "data"))

@@ -61,7 +61,7 @@ class Counters:
 class NoiseModel:
     """Bounded additive observation noise: zero, i.i.d. uniform, or a sine in x.
 
-    The sine variant Delta*sin(<omega, x>/scale) is deterministic in x, so it
+    The sine variant Delta*sin(<omega, x>/Delta) is deterministic in x, so it
     can carry a genuine bias through the estimator; its magnitude never
     exceeds Delta either way.
     """
@@ -69,7 +69,6 @@ class NoiseModel:
     kind: str
     Delta: float = 0.0
     omega: np.ndarray | None = None
-    scale: float | None = None
     rng: np.random.Generator | None = None
 
     @staticmethod
@@ -92,14 +91,16 @@ class NoiseModel:
     def uniform(Delta: float, rng: np.random.Generator) -> "NoiseModel":
         if Delta < 0:
             raise ValueError("Delta: must be >= 0")
+        if rng is None:
+            raise ValueError("rng: uniform noise needs a generator")
         return NoiseModel("uniform", Delta=float(Delta), rng=rng)
 
     @staticmethod
-    def adversarial_sine(Delta: float, omega, scale: float | None = None) -> "NoiseModel":
+    def adversarial_sine(Delta: float, omega) -> "NoiseModel":
         if Delta < 0:
             raise ValueError("Delta: must be >= 0")
         omega = _as_vector(omega, "omega")
-        return NoiseModel("adversarial_sine", Delta=float(Delta), omega=omega, scale=scale)
+        return NoiseModel("adversarial_sine", Delta=float(Delta), omega=omega)
 
     def sample(self, x) -> float:
         if self.kind == "zero" or self.Delta == 0.0:
@@ -108,8 +109,8 @@ class NoiseModel:
             # numpy's uniform(low, high) is low + (high - low) * next_double;
             # the same two operations on random() give the same value.
             return -self.Delta + 2.0 * self.Delta * self.rng.random()
-        scale = self.scale if self.scale is not None else max(self.Delta, 1e-30)
-        return self.Delta * float(np.sin(float(self.omega @ np.asarray(x)) / scale))
+        t = float(self.omega @ np.asarray(x)) / max(self.Delta, 1e-30)
+        return self.Delta * float(np.sin(t))
 
 
 @dataclass(frozen=True)

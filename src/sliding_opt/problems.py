@@ -3,7 +3,7 @@
 Three families: the decentralized geometric median, l1-regularized logistic
 regression on LIBSVM data, and Nesterov's worst-case smooth function plus an
 l1 term. A separable synthetic instance with a closed-form optimum backs the
-verification tests.
+verification tests. The l1 instances share `L1Term` and `wire_composite`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,19 @@ import numpy as np
 from .geometry import FeasibleSet, NormPair, make_setup
 from .oracles import NodeTerm, NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
 from .sliding import CompositeProblem, suggest_r_delta
+
+
+class L1Term:
+    """f = l1 * ||x||_1 for instances with l1 and n; M_bound() is its Lipschitz bound."""
+
+    def f_value(self, x) -> float:
+        return self.l1 * float(np.add.reduce(np.abs(x)))
+
+    def f_subgrad(self, x) -> np.ndarray:
+        return self.l1 * np.sign(np.asarray(x, dtype=float))
+
+    def M_bound(self) -> float:
+        return self.l1 * math.sqrt(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +103,13 @@ def weiszfeld(instance: GeometricMedianInstance, tol: float = 1e-13,
 # l1 logistic regression
 
 @dataclass
-class LogRegLassoInstance:
+class LogRegLassoInstance(L1Term):
     """Average logistic loss over (A, y) plus l1 * ||x||_1."""
 
     A: "scipy.sparse.csr_matrix"
     y: np.ndarray
     l1: float = 0.0
+    L: float | None = None          # set by the caller, from smoothness() or a user bound
 
     @property
     def m(self) -> int:
@@ -116,12 +130,6 @@ class LogRegLassoInstance:
         sig = 1.0 / (1.0 + np.exp(np.minimum(t, 50.0)))
         coeff = -self.y * sig / self.m
         return np.asarray(self.A.T @ coeff).ravel()
-
-    def f_value(self, x) -> float:
-        return self.l1 * float(np.add.reduce(np.abs(x)))
-
-    def f_subgrad(self, x) -> np.ndarray:
-        return self.l1 * np.sign(np.asarray(x, dtype=float))
 
     def smoothness(self, iters: int = 100, tol: float = 1e-10) -> float:
         """L = ||A||_2^2 / (4m) with the spectral norm from power iteration."""
@@ -210,7 +218,7 @@ def dataset_path(name_or_path: str) -> str:
 # Nesterov's worst-case smooth function plus l1
 
 @dataclass(frozen=True)
-class NesterovLassoInstance:
+class NesterovLassoInstance(L1Term):
     """g(x) = (L/8)(x_1^2 + sum (x_i - x_{i+1})^2 + x_n^2) - (L/4) x_1, plus l1*||x||_1.
 
     The gradient is (L/4)(T x - e_1) with T the [-1, 2, -1] tridiagonal
@@ -234,12 +242,6 @@ class NesterovLassoInstance:
         Tx[0] -= 1.0
         return self.L / 4.0 * Tx
 
-    def f_value(self, x) -> float:
-        return self.l1 * float(np.add.reduce(np.abs(x)))
-
-    def f_subgrad(self, x) -> np.ndarray:
-        return self.l1 * np.sign(np.asarray(x, dtype=float))
-
     def smooth_minimizer(self) -> np.ndarray:
         i = np.arange(1, self.n + 1, dtype=float)
         return 1.0 - i / (self.n + 1.0)
@@ -253,16 +255,16 @@ def _soft_threshold(z, lam):
 
 
 @dataclass(frozen=True)
-class SeparableLassoInstance:
-    """g(x) = 0.5 (x-z)' H (x-z) with diagonal H, f(x) = lam ||x||_1.
+class SeparableLassoInstance(L1Term):
+    """g(x) = 0.5 (x-z)' H (x-z) with diagonal H, f(x) = l1 ||x||_1.
 
-    Separability gives the exact optimum x_i* = soft(z_i, lam/h_i) and the
+    Separability gives the exact optimum x_i* = soft(z_i, l1/h_i) and the
     exact optimal value, which anchors convergence tests.
     """
 
     z: np.ndarray
     h: np.ndarray
-    lam: float
+    l1: float
 
     @property
     def n(self) -> int:
@@ -275,17 +277,11 @@ class SeparableLassoInstance:
     def g_grad(self, x) -> np.ndarray:
         return self.h * (np.asarray(x, dtype=float) - self.z)
 
-    def f_value(self, x) -> float:
-        return self.lam * float(np.add.reduce(np.abs(x)))
-
-    def f_subgrad(self, x) -> np.ndarray:
-        return self.lam * np.sign(np.asarray(x, dtype=float))
-
     def psi0(self, x) -> float:
         return self.g_value(x) + self.f_value(x)
 
     def minimizer(self) -> np.ndarray:
-        return _soft_threshold(self.z, self.lam / self.h)
+        return _soft_threshold(self.z, self.l1 / self.h)
 
     def optimal_value(self) -> float:
         return self.psi0(self.minimizer())
@@ -298,55 +294,50 @@ class SeparableLassoInstance:
     def mu(self) -> float:
         return float(np.min(self.h))
 
-    def M_bound(self) -> float:
-        return self.lam * math.sqrt(self.n)
 
-
-def make_verification_instance(n: int, seed: int, *, lam: float = 0.1,
+def make_verification_instance(n: int, seed: int, *, l1: float = 0.1,
                                box_half: float = 2.0) -> tuple:
     """Convex check instance (H = I) on the box [-box_half, box_half]^n.
 
     Returns (instance, feasible set); z is drawn in [-1, 1]^n so the
     soft-threshold optimum sits strictly inside the box.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, size=n)
-    instance = SeparableLassoInstance(z=z, h=np.ones(n), lam=lam)
-    feasible = FeasibleSet.box(-box_half * np.ones(n), box_half * np.ones(n))
-    return instance, feasible
+    return make_strongly_convex_instance(n, seed, mu=1.0, L=1.0, l1=l1, box_half=box_half)
 
 
 def make_strongly_convex_instance(n: int, seed: int, *, mu: float = 0.1, L: float = 1.0,
-                                  lam: float = 0.01, box_half: float = 2.0) -> tuple:
+                                  l1: float = 0.01, box_half: float = 2.0) -> tuple:
     """Strongly convex check instance: diagonal curvatures spanning [mu, L]."""
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=n)
     h = np.linspace(mu, L, n)
-    instance = SeparableLassoInstance(z=z, h=h, lam=lam)
+    instance = SeparableLassoInstance(z=z, h=h, l1=l1)
     feasible = FeasibleSet.box(-box_half * np.ones(n), box_half * np.ones(n))
     return instance, feasible
 
 
-def wire_composite(instance: SeparableLassoInstance, feasible: FeasibleSet, *,
-                   eps: float = 1e-3, Delta: float = 0.0, noise_kind: str = "zero",
-                   r: float | None = None, sphere_rng=None, noise_rng=None) -> tuple:
-    """Build a CompositeProblem around a separable instance.
+def wire_composite(instance: L1Term, feasible: FeasibleSet, *, eps: float = 1e-3,
+                   Delta: float = 0.0, noise_kind: str = "zero", r: float | None = None,
+                   psi0_reference: float | None = None, sphere_rng=None,
+                   noise_rng=None) -> tuple:
+    """The CompositeProblem of an l1 instance (with g_value, g_grad, L) on a
+    Euclidean set: f through a noisy zero-order oracle, g exactly.
 
-    The smoothing radius and noise ceiling come from the accuracy heuristics
-    unless r is pinned explicitly; returns (problem, suggestion dict).
+    r comes from the accuracy heuristics unless pinned; the oracle's validity
+    radius is s = 2r. Returns (problem, suggestion dict with r as used).
     """
     n = instance.n
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
     M = instance.M_bound()
-    sugg = suggest_r_delta(eps, M, n, setup.D_X, 1.0, C3=norms.C3)
+    sugg = suggest_r_delta(eps, M, n, setup.D_X, 1.0)
     if r is not None:
-        sugg = dict(sugg, r=r, s_min=max(sugg["s_min"], r / norms.C3 * (1.0 + 1e-6)))
+        sugg["r"] = r
     noise = NoiseModel.build(noise_kind, Delta, np.arange(1, n + 1, dtype=float), noise_rng)
-    oracle = NoisyZeroOrderOracle(instance.f_value, M=M, s=sugg["s_min"], noise=noise)
+    oracle = NoisyZeroOrderOracle(instance.f_value, M=M, s=2.0 * sugg["r"], noise=noise)
     estimator = SmoothingEstimator(oracle, r=sugg["r"], n=n, norms=norms, rng=sphere_rng)
     problem = CompositeProblem(setup, instance.g_value, instance.g_grad, estimator,
-                               psi0_reference=instance.optimal_value(),
+                               psi0_reference=psi0_reference,
                                f_subgrad=instance.f_subgrad, L=instance.L)
     return problem, sugg
 

@@ -378,13 +378,11 @@ def theoretical_bound(sched: SlidingSchedule, setup: ProximalSetup,
     return smooth_term + restart.rho0 / 2.0 ** k_or_phase + 2.0 * noise_term
 
 
-def suggest_r_delta(eps: float, M: float, n: int, D_X: float, p_star: float,
-                    C3: float = 1.0) -> dict:
-    """Smoothing radius, admissible noise level, and minimal oracle
-    neighborhood for a target accuracy eps.
+def suggest_r_delta(eps: float, M: float, n: int, D_X: float, p_star: float) -> dict:
+    """Smoothing radius and admissible noise level for a target accuracy eps.
 
     r = eps/(4M) keeps the smoothing term at eps/2; delta_max keeps the
-    noise-bias term at eps/8; s_min makes r < s*C3 hold with a hair of slack.
+    noise-bias term at eps/8.
     """
     if eps <= 0:
         raise ValueError("eps: must be > 0")
@@ -396,5 +394,4 @@ def suggest_r_delta(eps: float, M: float, n: int, D_X: float, p_star: float,
         raise ValueError("D_X: must be finite and > 0")
     r = eps / (4.0 * M)
     delta_max = eps ** 2 / (8.0 * n * M * D_X * min(p_star, 1.0))
-    s_min = r / C3 * (1.0 + 1e-6)
-    return {"r": r, "delta_max": delta_max, "s_min": s_min}
+    return {"r": r, "delta_max": delta_max}

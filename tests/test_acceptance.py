@@ -117,7 +117,7 @@ def test_criterion_02_estimator_moments():
         acc_sq += float(g @ g)
     mean_n = acc / S
     second_moment = acc_sq / S
-    bias_noisy = norms.dual(mean_n - c)
+    bias_noisy = float(np.linalg.norm(mean_n - c))
     var_n = max(second_moment - float(mean_n @ mean_n), 0.0)
     stderr_noisy = math.sqrt(var_n / S)
     second_bound = 2.0 * (10.0 * n * 1.0 + n ** 2 * Delta ** 2 / r ** 2)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sliding_opt.geometry import (FeasibleSet, NormPair, bregman, make_setup, project,
-                                  prox_step)
+from sliding_opt.geometry import FeasibleSet, NormPair, make_setup, project, prox_step
 
 rng = np.random.default_rng(20260822)
 
@@ -11,9 +10,7 @@ rng = np.random.default_rng(20260822)
 
 def test_norm_pair_euclidean_self_dual():
     np_e = NormPair.euclidean()
-    v = rng.standard_normal(7)
-    assert np_e.primal(v) == pytest.approx(np.linalg.norm(v))
-    assert np_e.dual(v) == pytest.approx(np.linalg.norm(v))
+    assert (np_e.primal_id, np_e.dual_id) == ("euclidean", "euclidean")
     assert (np_e.C1, np_e.C2, np_e.C3) == (1.0, 1.0, 1.0)
 
 
@@ -23,57 +20,14 @@ def test_norm_pair_l1_constants_hold_on_random_vectors():
     assert np_l1.C1 == 1.0
     assert np_l1.C2 == pytest.approx(np.sqrt(n))
     assert np_l1.C3 == pytest.approx(np.sqrt(n))
+    assert (np_l1.primal_id, np_l1.dual_id) == ("l1", "linf")
     for _ in range(200):
         v = rng.standard_normal(n)
         l2 = np.linalg.norm(v)
-        assert np_l1.dual(v) <= np_l1.C1 * l2 + 1e-12
-        assert l2 <= np_l1.C2 * np_l1.dual(v) + 1e-12
-        assert np_l1.primal(v) <= np_l1.C3 * l2 + 1e-12
-
-
-# -- Bregman divergences -----------------------------------------------------
-
-def test_bregman_euclidean_matches_half_squared_distance():
-    setup = make_setup(NormPair.euclidean(), FeasibleSet.whole_space(4, bound_hint=10.0),
-                       "half_sq_euclid")
-    x, y = rng.standard_normal(4), rng.standard_normal(4)
-    assert bregman(setup, x, y) == pytest.approx(0.5 * np.sum((x - y) ** 2))
-    assert bregman(setup, x, x) == 0.0
-
-
-def test_bregman_entropy_frozen_value_and_definition():
-    # frozen: 0.9*ln(1.8) + 0.1*ln(0.2) computed once from the generating-function form
-    setup = make_setup(NormPair.l1(2), FeasibleSet.simplex(2), "entropy")
-    x = np.array([0.5, 0.5])
-    y = np.array([0.9, 0.1])
-    got = bregman(setup, x, y)
-    assert got == pytest.approx(0.36806420716849715, abs=1e-12)
-
-    def neg_entropy(v):
-        return float(np.sum(v * np.log(v)))
-
-    grad = np.log(x) + 1.0
-    definitional = neg_entropy(y) - neg_entropy(x) - float(grad @ (y - x))
-    assert got == pytest.approx(definitional, abs=1e-12)
-
-
-def test_bregman_entropy_nonnegative_and_pinsker_on_random_simplex_pairs():
-    n = 6
-    setup = make_setup(NormPair.l1(n), FeasibleSet.simplex(n), "entropy")
-    for _ in range(200):
-        x = rng.dirichlet(np.ones(n))
-        y = rng.dirichlet(np.ones(n))
-        v = bregman(setup, x, y)
-        assert v >= 0.0
-        # 1-strong convexity in the l1 norm
-        assert v >= 0.5 * np.sum(np.abs(x - y)) ** 2 - 1e-10
-
-
-def test_bregman_shape_mismatch_errors():
-    setup = make_setup(NormPair.euclidean(), FeasibleSet.whole_space(3, bound_hint=1.0),
-                       "half_sq_euclid")
-    with pytest.raises(ValueError):
-        bregman(setup, np.zeros(3), np.zeros(4))
+        linf, l1 = np.linalg.norm(v, np.inf), np.linalg.norm(v, 1)
+        assert linf <= np_l1.C1 * l2 + 1e-12
+        assert l2 <= np_l1.C2 * linf + 1e-12
+        assert l1 <= np_l1.C3 * l2 + 1e-12
 
 
 # -- projections -------------------------------------------------------------
@@ -152,8 +106,17 @@ def test_project_rejects_non_finite():
 
 # -- prox step ---------------------------------------------------------------
 
+def _bregman(setup, x, y):
+    """V(x, y) of the setup's distance-generating function: 0.5 * ||x - y||^2,
+    or for entropy the simplex KL divergence sum_i y_i ln(y_i / x_i)."""
+    if setup.dgf_id == "half_sq_euclid":
+        return 0.5 * float((x - y) @ (x - y))
+    return float(np.sum(y * np.log(y / x)))
+
+
 def _prox_objective(setup, a, x_anchor, u_prev, beta, p, u):
-    return float(a @ u) + beta * bregman(setup, x_anchor, u) + beta * p * bregman(setup, u_prev, u)
+    return (float(a @ u) + beta * _bregman(setup, x_anchor, u)
+            + beta * p * _bregman(setup, u_prev, u))
 
 
 def test_prox_step_identity_when_linear_term_vanishes():

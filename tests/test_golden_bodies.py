@@ -4,13 +4,16 @@ The first four hashes and final counters were recorded with per-call sphere
 and noise draws, before the estimator drew its directions in blocks; the two
 mzosa-synthetic-* entries were recorded while the restarted solver still ran
 one solver call per phase; the last three were recorded while the sliding and
-baseline loops each kept their own checkpoint and budget bookkeeping. A change
-made for speed or design must leave every one of them as it is. Each config
+baseline loops each kept their own checkpoint and budget bookkeeping. The two
+logreg entries were recorded while logreg and nesterov still had their own
+wiring apart from `wire_composite`. A change made for speed or design must
+leave every one of them as it is. Each config
 runs in well under a second and crosses several direction-block boundaries.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from sliding_opt.harness import RunConfig, run
@@ -82,3 +85,37 @@ def test_restart_state_reaches_metadata(name, key, value):
 def test_mzosa_wall_clock_runs_across_phases():
     walls = [row.wall_ms for row in run(GOLDEN["mzosa-synthetic"][0]).rows]
     assert walls == sorted(walls)
+
+
+def _write_libsvm(path, rows=60, n=8, seed=11):
+    """A fixed-seed LIBSVM file: labels +-1, each feature present with
+    probability 0.6, values printed to six decimals."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(rows):
+        label = 1 if rng.random() < 0.5 else -1
+        cols = np.flatnonzero(rng.random(n) < 0.6) + 1
+        lines.append(f"{label} " + " ".join(f"{j}:{rng.standard_normal():.6f}" for j in cols))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# logreg on a generated dataset, so the builder is pinned without german.numer
+LOGREG_GOLDEN = {
+    "zosa-logreg-bound": (
+        dict(method="zosa", with_bound=True, max_zo_calls=4000, checkpoints=4),
+        "3d5c8d1f05b86f1b678661d81f77a59da6128424b65e0f17ff777d5f7f7583b6", (246, 3968, 0)),
+    "zogd-logreg-uniform": (
+        dict(method="zogd", noise_kind="uniform", Delta=1e-5, N=800, checkpoints=5),
+        "36819516bd0262e4dae59807ef37514a2ed919e906c97f1b03da4a8f5ff9260c", (0, 1600, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOGREG_GOLDEN))
+def test_logreg_trace_body_matches_golden_hash(name, tmp_path, monkeypatch):
+    _write_libsvm(tmp_path / "golden.libsvm")
+    monkeypatch.setenv("SLIDING_OPT_DATA", str(tmp_path))
+    overrides, digest, counters = LOGREG_GOLDEN[name]
+    trace = run(RunConfig(experiment="logreg", seed=3, dataset="golden.libsvm", **overrides))
+    final = trace.final()
+    assert (final.fo_calls, final.zo_calls, final.comm_rounds) == counters
+    assert hashlib.sha256(trace.body_text().encode()).hexdigest() == digest

@@ -491,6 +491,12 @@ def test_cli_inspect_graph(capsys):
     assert main(["inspect-graph", "--topology", "pentagon"]) == 2
 
 
+@pytest.mark.parametrize("name", ["topology_tag", "_validate", "ring"])
+def test_cli_inspect_graph_rejects_unknown_topology(name, capsys):
+    assert main(["inspect-graph", "--topology", name, "--m", "5"]) == 2
+    assert "topology:" in capsys.readouterr().err
+
+
 def test_cli_inspect_graph_custom_edge_file(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("0 1\n1 2\n")

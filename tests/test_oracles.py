@@ -73,7 +73,7 @@ def test_uniform_noise_equals_numpy_uniform_draws():
 
 
 def test_sine_noise_is_deterministic_in_x():
-    sine = NoiseModel.adversarial_sine(0.3, omega=np.array([2.0, -1.0]), scale=0.5)
+    sine = NoiseModel.adversarial_sine(0.3, omega=np.array([2.0, -1.0]))
     x = np.array([0.4, 1.1])
     assert sine.sample(x) == sine.sample(x)
 

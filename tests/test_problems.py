@@ -217,7 +217,7 @@ def test_worstcase_smooth_minimizer():
 # -- separable verification instances ----------------------------------------
 
 def test_separable_closed_form_optimum():
-    inst = SeparableLassoInstance(z=np.array([1.0]), h=np.array([1.0]), lam=0.3)
+    inst = SeparableLassoInstance(z=np.array([1.0]), h=np.array([1.0]), l1=0.3)
     assert inst.minimizer() == pytest.approx([0.7])
     assert inst.optimal_value() == pytest.approx(0.255)
     rng = np.random.default_rng(5)
@@ -245,8 +245,10 @@ def test_strongly_convex_instance_shape():
 def test_wire_composite_exposes_exact_reference():
     inst, feasible = make_verification_instance(6, seed=3)
     problem, sugg = wire_composite(inst, feasible, eps=1e-3,
+                                   psi0_reference=inst.optimal_value(),
                                    sphere_rng=np.random.default_rng(0))
-    assert problem.psi0_reference == pytest.approx(inst.optimal_value())
+    assert problem.psi0_reference == inst.optimal_value()
+    assert wire_composite(inst, feasible)[0].psi0_reference is None
     assert problem.estimator.r == pytest.approx(sugg["r"])
     assert problem.L == inst.L
     assert problem.psi0(inst.minimizer()) == pytest.approx(inst.optimal_value())
@@ -263,13 +265,15 @@ def test_wire_composite_noise_kinds():
     assert adv.f_oracle.noise.kind == "adversarial_sine"
     clean, _ = wire_composite(inst, feasible, sphere_rng=np.random.default_rng(0))
     assert clean.f_oracle.Delta == 0.0
+    with pytest.raises(ValueError, match="rng"):
+        wire_composite(inst, feasible, Delta=1e-4, noise_kind="uniform")
 
 
 # -- proximal-gradient reference ---------------------------------------------
 
 def test_prox_grad_reference_recovers_separable_optimum():
     inst, _ = make_verification_instance(8, seed=6)
-    out = prox_grad_reference(inst.g_value, inst.g_grad, inst.lam, inst.L,
+    out = prox_grad_reference(inst.g_value, inst.g_grad, inst.l1, inst.L,
                               np.zeros(8), max_iter=20000)
     assert np.abs(out["x"] - inst.minimizer()).max() <= 1e-10
     assert out["value"] == pytest.approx(inst.optimal_value(), abs=1e-12)
