@@ -12,8 +12,7 @@ from .geometry import FeasibleSet, NormPair, ProximalSetup, make_setup, project,
 from .oracles import (Counters, EstimatorError, NoiseModel, NoisyZeroOrderOracle,
                       SmoothingEstimator, default_p_star, sample_sphere)
 from .sliding import (Budgets, CompositeProblem, RestartConfig, SlidingSchedule, SolverAbort,
-                      build_schedule, mzosa_run, ps_procedure, suggest_r_delta,
-                      theoretical_bound, zosa_run)
+                      build_schedule, ps_procedure, suggest_r_delta, theoretical_bound, zosa_run)
 from .baselines import BaselineConfig, gd_run, zogd_run
 from .network import (Graph, GraphError, Laplacian, NetworkProblem, build_laplacian,
                       dual_bound_radius, lift_to_penalized, penalty_coefficient, read_edge_list)

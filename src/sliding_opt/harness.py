@@ -26,7 +26,7 @@ from .problems import (GeometricMedianInstance, NesterovLassoInstance, dataset_p
                        make_strongly_convex_instance, make_verification_instance,
                        prox_grad_reference, read_libsvm, weiszfeld, wire_composite)
 from .sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
-                      build_schedule, mzosa_run, suggest_r_delta, zosa_run)
+                      build_schedule, suggest_r_delta, zosa_run)
 from .trace import RunTrace, format_float
 
 
@@ -303,7 +303,7 @@ def validate(cfg: RunConfig):
 class _Build:
     problem: CompositeProblem
     x0: np.ndarray
-    delta_max: float | None
+    delta_max: float
     quiet_grad: Callable
     derived: dict = field(default_factory=dict)
     reference: dict = field(default_factory=dict)
@@ -528,32 +528,28 @@ def _execute(cfg: RunConfig, b: _Build) -> tuple:
         budgets = Budgets(max_zo_calls=cfg.max_zo_calls, max_comm_rounds=cfg.max_comm_rounds,
                           max_wall_ms=cfg.max_wall_ms)
     derived = dict(b.derived)
-    derived.update(dim=est.n, r=est.r, M_est=M_est, p_star=est.p_star, L=problem.L)
-    if b.delta_max is not None:
-        derived["delta_max"] = b.delta_max
+    derived.update(dim=est.n, r=est.r, M_est=M_est, p_star=est.p_star, L=problem.L,
+                   delta_max=b.delta_max)
 
     if cfg.method in ("zosa", "mzosa"):
-        mu_sched = cfg.mu if cfg.mu > 0 else 0.0
         sched_kwargs = dict(L=problem.L, M_est=M_est, n=est.n, C1=setup.norms.C1,
-                            p_star=est.p_star, Delta=cfg.Delta, r=est.r, mu=mu_sched,
+                            p_star=est.p_star, Delta=cfg.Delta, r=est.r, mu=cfg.mu,
                             T_cap=cfg.T_cap, c_const=cfg.c_const, C_const=cfg.C_const)
+        restart = None
         if cfg.method == "zosa":
             D_tilde = 0.75 * setup.D_XV ** 2
             N, primary = _resolve_horizon(cfg, dict(sched_kwargs, D_tilde=D_tilde))
-            sched = build_schedule(N=N, D_tilde=D_tilde, **sched_kwargs)
-            _, trace = zosa_run(problem, sched, b.x0, checkpoints=cfg.checkpoints,
-                                budgets=budgets, with_bound=cfg.with_bound)
-            derived.update(N=N, D_tilde=D_tilde, M_tilde=sched.M_tilde,
-                           sigma_sq=sched.sigma_sq, budget_primary=primary)
+            derived.update(N=N, D_tilde=D_tilde)
         else:
+            # the schedule of phase 1; zosa_run rescales D_tilde for each phase
             restart = RestartConfig(rho0=cfg.rho0, phases=cfg.phases, N0=cfg.N0)
-            N0 = restart.resolved_N0(problem.L, mu_sched)
-            sched = build_schedule(N=N0, D_tilde=cfg.rho0 / (2.0 * mu_sched), **sched_kwargs)
-            _, trace = mzosa_run(problem, sched, restart, b.x0,
-                                 checkpoints=cfg.checkpoints, budgets=budgets,
-                                 with_bound=cfg.with_bound)
-            derived.update(N0=N0, rho0=cfg.rho0, phases=cfg.phases, M_tilde=sched.M_tilde,
-                           sigma_sq=sched.sigma_sq, budget_primary="phases")
+            restart.N0 = N = restart.resolved_N0(problem.L, cfg.mu)
+            D_tilde, primary = cfg.rho0 / (2.0 * cfg.mu), "phases"
+            derived.update(N0=N, rho0=cfg.rho0, phases=cfg.phases)
+        sched = build_schedule(N=N, D_tilde=D_tilde, **sched_kwargs)
+        _, trace = zosa_run(problem, sched, b.x0, checkpoints=cfg.checkpoints,
+                            budgets=budgets, with_bound=cfg.with_bound, restart=restart)
+        derived.update(M_tilde=sched.M_tilde, sigma_sq=sched.sigma_sq, budget_primary=primary)
         return trace, derived
 
     N, primary = _resolve_horizon(cfg, None)

@@ -32,7 +32,6 @@ class SlidingSchedule:
 
     L: float
     mu: float
-    M_est: float
     M_tilde: float
     sigma_sq: float
     D_tilde: float
@@ -73,8 +72,8 @@ def build_schedule(*, L: float, M_est: float, n: int, C1: float, p_star: float,
         raise ValueError("r: must be > 0")
     M_tilde = c_const * math.sqrt(n) * C1 * M_est
     sigma_sq = 4.0 * p_star ** 2 * (C_const * n * M_est ** 2 + (n * Delta / r) ** 2)
-    return SlidingSchedule(L=L, mu=mu, M_est=M_est, M_tilde=M_tilde, sigma_sq=sigma_sq,
-                           D_tilde=D_tilde, N=N, T_cap=T_cap)
+    return SlidingSchedule(L=L, mu=mu, M_tilde=M_tilde, sigma_sq=sigma_sq, D_tilde=D_tilde,
+                           N=N, T_cap=T_cap)
 
 
 @dataclass
@@ -279,7 +278,8 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
              checkpoints: int = 50, budgets: Budgets | None = None,
              with_bound: bool = False, restart: RestartConfig | None = None):
     """Run the sliding solver from x0: sched.N outer iterations, or with a
-    restart, its phases of N0 outer iterations each.
+    restart (mu-strongly convex f + g, sched.mu > 0), its phases of N0 outer
+    iterations each.
 
     Phase i = 1..phases uses D_tilde = rho0 / (mu * 2^i) and starts from the
     previous phase's output; steps count on across phases. Returns (final
@@ -293,6 +293,12 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
     if restart is None:
         phases = [(0, sched)]
     else:
+        if sched.mu <= 0:
+            raise ValueError("mu: must be > 0 for the restarted solver")
+        if restart.rho0 <= 0:
+            raise ValueError("rho0: must be > 0")
+        if restart.phases < 0:
+            raise ValueError("phases: must be >= 0")
         N0 = restart.resolved_N0(sched.L, sched.mu)
         phases = [(i, replace(sched, D_tilde=restart.rho0 / (sched.mu * 2.0 ** i), N=N0))
                   for i in range(1, restart.phases + 1)]
@@ -330,26 +336,6 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
             break
     rec.trace.metadata["derived.T_cap_hit"] = "true" if cap_hit else "false"
     return x_bar, rec.trace
-
-
-def mzosa_run(problem: CompositeProblem, sched: SlidingSchedule, restart: RestartConfig,
-              y0, *, checkpoints: int = 50, budgets: Budgets | None = None,
-              with_bound: bool = False):
-    """Restarted sliding for mu-strongly convex objectives.
-
-    Phase i reruns the convex solver from the previous phase's output with
-    the inner-loop scale D_tilde = rho0 / (mu * 2^i). with_bound adds the
-    bound after each row's phase. Returns (y_I, trace); phases appear in the
-    trace's phase column with cumulative step indices.
-    """
-    if sched.mu <= 0:
-        raise ValueError("mu: must be > 0 for the restarted solver")
-    if restart.rho0 <= 0:
-        raise ValueError("rho0: must be > 0")
-    if restart.phases < 0:
-        raise ValueError("phases: must be >= 0")
-    return zosa_run(problem, sched, y0, checkpoints=checkpoints, budgets=budgets,
-                    with_bound=with_bound, restart=restart)
 
 
 def theoretical_bound(sched: SlidingSchedule, setup: ProximalSetup,

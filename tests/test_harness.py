@@ -239,7 +239,7 @@ def test_geom_median_replay_identical():
     assert replay(trace).body_text() == trace.body_text()
 
 
-def test_mzosa_run_counts_phases():
+def test_mzosa_counts_phases():
     cfg = RunConfig(experiment="synthetic", method="mzosa", seed=3, n=6,
                     mu=0.1, rho0=2.0, phases=2, N0=4, checkpoints=2)
     trace = run(cfg)

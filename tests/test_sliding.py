@@ -11,8 +11,8 @@ from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstim
 from sliding_opt.problems import (make_strongly_convex_instance, make_verification_instance,
                                   wire_composite)
 from sliding_opt.sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
-                                 build_schedule, mzosa_run, ps_procedure,
-                                 suggest_r_delta, theoretical_bound, zosa_run)
+                                 build_schedule, ps_procedure, suggest_r_delta,
+                                 theoretical_bound, zosa_run)
 
 
 def smooth_only_problem(g_value, g_grad, feasible, *, L, r=1e-3, reference=None, seed=0):
@@ -335,7 +335,7 @@ def test_mzosa_zero_phases_returns_start():
     problem = smooth_only_problem(instance.g_value, instance.g_grad, feasible, L=instance.L)
     sched = basic_schedule(problem, N=4, mu=instance.mu)
     y0 = np.zeros(4)
-    y, trace = mzosa_run(problem, sched, RestartConfig(rho0=1.0, phases=0), y0)
+    y, trace = zosa_run(problem, sched, y0, restart=RestartConfig(rho0=1.0, phases=0))
     assert np.array_equal(y, y0)
     assert len(trace.rows) == 1
 
@@ -345,7 +345,23 @@ def test_mzosa_requires_positive_mu():
     problem, _ = wire_composite(instance, feasible, sphere_rng=np.random.default_rng(5))
     sched = basic_schedule(problem, N=4, mu=0.0)
     with pytest.raises(ValueError, match="mu"):
-        mzosa_run(problem, sched, RestartConfig(rho0=1.0, phases=2), np.zeros(4))
+        zosa_run(problem, sched, np.zeros(4), restart=RestartConfig(rho0=1.0, phases=2))
+
+
+@pytest.mark.parametrize("mu, rho0, phases, message", [
+    (-0.5, 1.0, 2, "mu: must be > 0 for the restarted solver"),
+    (0.5, 0.0, 2, "rho0: must be > 0"),
+    (0.5, -1.0, 2, "rho0: must be > 0"),
+    (0.5, 1.0, -1, "phases: must be >= 0"),
+])
+def test_restart_rejects_out_of_range_fields(mu, rho0, phases, message):
+    instance, feasible = make_verification_instance(4, seed=2)
+    problem, _ = wire_composite(instance, feasible, sphere_rng=np.random.default_rng(5))
+    sched = basic_schedule(problem, N=4, mu=mu)
+    restart = RestartConfig(rho0=rho0, phases=phases, N0=3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        zosa_run(problem, sched, np.zeros(4), restart=restart)
+    assert problem.counters.zo_calls == 0
 
 
 def test_mzosa_halves_gap_each_phase_and_counts_first_order_calls():
@@ -360,7 +376,7 @@ def test_mzosa_halves_gap_each_phase_and_counts_first_order_calls():
     phases = 5
     restart = RestartConfig(rho0=rho0, phases=phases)
     N0 = restart.resolved_N0(instance.L, instance.mu)
-    y, trace = mzosa_run(problem, sched, restart, x0, checkpoints=1)
+    y, trace = zosa_run(problem, sched, x0, checkpoints=1, restart=restart)
     assert problem.counters.fo_calls == N0 * phases
     for i in range(1, phases + 1):
         rows_i = [row for row in trace.rows if row.phase == i and row.step == i * N0]
