@@ -18,8 +18,7 @@ from .network import (Graph, GraphError, Laplacian, NetworkProblem, build_laplac
                       dual_bound_radius, lift_to_penalized, penalty_coefficient, read_edge_list)
 from .problems import (GeometricMedianInstance, LogRegLassoInstance, NesterovLassoInstance,
                        SeparableLassoInstance, make_strongly_convex_instance,
-                       make_verification_instance, prox_grad_reference, read_libsvm,
-                       weiszfeld, wire_composite)
+                       prox_grad_reference, read_libsvm, weiszfeld, wire_composite)
 from .trace import RunTrace, TraceRow
 
 __version__ = "0.1.0"

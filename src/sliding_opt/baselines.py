@@ -19,7 +19,7 @@ from .sliding import (Budgets, CompositeProblem, SolverAbort, SolverState, _chec
 
 @dataclass
 class BaselineConfig:
-    """Step rule (constant eta, or eta0/sqrt(t)), iteration count, reporting mode.
+    """Step rule (constant eta0, or eta0/sqrt(t)), iteration count, reporting mode.
 
     averaging: 'last' reports the current iterate, 'running_best' the best
     objective value seen, 'uniform_avg' the running mean of iterates. r is
@@ -28,14 +28,13 @@ class BaselineConfig:
 
     N_steps: int
     step_rule: str = "inv_sqrt"
-    eta: float = 0.0
     eta0: float = 1.0
     averaging: str = "last"
     r: float = 0.0
 
     def step_size(self, t: int) -> float:
         if self.step_rule == "constant":
-            return self.eta
+            return self.eta0
         if self.step_rule == "inv_sqrt":
             return self.eta0 / np.sqrt(t)
         raise ValueError(f"step_rule: unknown '{self.step_rule}'")
@@ -44,8 +43,8 @@ class BaselineConfig:
 def _validate(cfg: BaselineConfig):
     if cfg.N_steps < 0:
         raise ValueError("N_steps: must be >= 0")
-    if cfg.step_rule == "constant" and cfg.eta < 0:
-        raise ValueError("eta: must be >= 0")
+    if cfg.step_rule == "constant" and cfg.eta0 < 0:
+        raise ValueError("eta0: must be >= 0")
     if cfg.step_rule == "inv_sqrt" and cfg.eta0 <= 0:
         raise ValueError("eta0: must be > 0")
     if cfg.averaging not in ("last", "running_best", "uniform_avg"):

@@ -19,8 +19,6 @@ from .trace import format_float
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    if args.with_bound:
-        cfg.with_bound = True
     trace = run(cfg)
     if cfg.out_path:
         final = trace.final()
@@ -47,8 +45,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_inspect_graph(args) -> int:
-    m = args.m if args.m is not None or args.topology == "custom" else 20
-    graph = build_graph(args.topology, m, args.edge_file)
+    graph = build_graph(args.topology, args.m, args.edge_file)
     lap = build_laplacian(graph)
     print(f"topology = {graph.topology_tag}")
     print(f"m = {graph.m}")
@@ -70,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="flat key = value config file")
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-    p_run.add_argument("--with-bound", action="store_true",
-                       help="record the theoretical bound next to each checkpoint")
 
     p_bench = sub.add_parser("bench", help="compare methods over a seed range")
     p_bench.add_argument("--config", required=True)
@@ -87,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("inspect-graph", help="print a mixing graph's spectrum")
     p_graph.add_argument("--topology", default="star",
                          help="star | complete | chain | cycle | custom")
-    p_graph.add_argument("--m", type=int, default=None, help="number of nodes")
+    p_graph.add_argument("--m", type=int, default=None,
+                         help="number of nodes (default 20; custom: the edge file's count)")
     p_graph.add_argument("--edge-file", default=None,
                          help="edge list for topology = custom")
     return parser

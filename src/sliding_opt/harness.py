@@ -23,8 +23,8 @@ from .network import (NetworkProblem, Graph, build_laplacian, dual_bound_radius,
                       lift_to_penalized, penalty_coefficient, read_edge_list)
 from .oracles import NoiseModel
 from .problems import (GeometricMedianInstance, NesterovLassoInstance, dataset_path,
-                       make_strongly_convex_instance, make_verification_instance,
-                       prox_grad_reference, read_libsvm, weiszfeld, wire_composite)
+                       make_strongly_convex_instance, prox_grad_reference, read_libsvm,
+                       weiszfeld, wire_composite)
 from .sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
                       build_schedule, suggest_r_delta, zosa_run)
 from .trace import RunTrace, format_float
@@ -77,7 +77,7 @@ def stream_seed_int(master: int, name: str) -> int:
 class RunConfig:
     """One run of one method on one experiment.
 
-    Optional numeric fields left at None are derived (r, L, R, eta0, ...) or
+    Optional numeric fields left at None are derived (r, L, R, m, eta0, ...) or
     treated as absent (N, budgets). Derived values land in the trace metadata
     under derived.*.
     """
@@ -92,7 +92,6 @@ class RunConfig:
     max_zo_calls: int | None = None
     max_comm_rounds: int | None = None
     max_wall_ms: float | None = None
-    N_horizon: int = 1000            # outer-iteration cap for wall-clock budgets
     checkpoints: int = 50
     out_path: str | None = None
     eps: float = 1e-3
@@ -100,7 +99,7 @@ class RunConfig:
     noise_kind: str = "zero"
     Delta: float = 0.0
     topology: str = "star"
-    m: int = 20
+    m: int | None = None
     edge_file: str | None = None
     R: float | None = None
     L: float | None = None
@@ -115,7 +114,6 @@ class RunConfig:
     bound_hint: float | None = None
     box_half: float = 2.0
     step_rule: str = "inv_sqrt"
-    eta: float = 0.0
     eta0: float | None = None
     eta_scale: float = 1.0
     averaging: str = "last"
@@ -235,19 +233,20 @@ def validate(cfg: RunConfig):
              f"experiment: must be one of {', '.join(EXPERIMENTS)}, got '{cfg.experiment}'")
     _require(cfg.method in METHODS,
              f"method: must be one of {', '.join(METHODS)}, got '{cfg.method}'")
+    for name, (kind, _) in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        _require(kind is not float or value is None or math.isfinite(value),
+                 f"{name}: must be finite, got {value!r}")
     _require(cfg.seed >= 0, "seed: must be >= 0")
     _require(cfg.n >= 0, "n: must be >= 0 (0 picks the experiment default)")
     _require(cfg.eps > 0, "eps: must be > 0")
     _require(cfg.Delta >= 0, "Delta: must be >= 0")
     _require(cfg.checkpoints >= 0, "checkpoints: must be >= 0")
     _require(cfg.phases >= 0, "phases: must be >= 0")
-    _require(cfg.N_horizon >= 1, "N_horizon: must be >= 1")
-    _require(cfg.m >= 2, "m: must be >= 2")
     _require(cfg.T_cap >= 1, "T_cap: must be >= 1")
     _require(cfg.box_half > 0, "box_half: must be > 0")
     _require(cfg.c_const > 0, "c_const: must be > 0")
     _require(cfg.C_const > 0, "C_const: must be > 0")
-    _require(cfg.eta >= 0, "eta: must be >= 0")
     _require(cfg.eta_scale > 0, "eta_scale: must be > 0")
     _require(cfg.mu >= 0, "mu: must be >= 0")
     _require(cfg.reference_max_iter >= 1, "reference_max_iter: must be >= 1")
@@ -260,7 +259,8 @@ def validate(cfg: RunConfig):
     _require(cfg.reference in REFERENCE_MODES,
              f"reference: must be one of {', '.join(REFERENCE_MODES)}, got '{cfg.reference}'")
 
-    for name, lower in (("N", 1), ("N0", 1), ("max_zo_calls", 1), ("max_comm_rounds", 1)):
+    for name, lower in (("N", 1), ("N0", 1), ("max_zo_calls", 1), ("max_comm_rounds", 1),
+                        ("m", 2)):
         value = getattr(cfg, name)
         _require(value is None or value >= lower, f"{name}: must be >= {lower}")
     for name in ("max_wall_ms", "r", "R", "L", "rho0", "l1", "bound_hint", "M_est", "eta0"):
@@ -269,12 +269,16 @@ def validate(cfg: RunConfig):
 
     if cfg.experiment == "geom_median":
         _check_topology(cfg.topology, cfg.edge_file)
+        _require(cfg.L is None, "L: the decentralized experiment derives L = 2 R lambda_max")
+        _require(cfg.l1 is None, "l1: the decentralized experiment has no l1 term")
     else:
         _require(cfg.max_comm_rounds is None,
                  "max_comm_rounds: only the decentralized experiment counts communication")
         _require(cfg.R is None,
                  "R: only the decentralized experiment uses the penalty coefficient")
         _require(cfg.edge_file is None, "edge_file: only used with topology = custom")
+    if cfg.experiment == "synthetic":
+        _require(cfg.bound_hint is None, "bound_hint: the synthetic experiment uses its box")
 
     if cfg.method == "gd":
         _require(cfg.max_zo_calls is None,
@@ -282,8 +286,6 @@ def validate(cfg: RunConfig):
     if cfg.method in ("gd", "zogd"):
         _require(not cfg.with_bound, "with_bound: bound reporting applies to the sliding methods")
 
-    budget_names = ("max_zo_calls", "max_comm_rounds", "max_wall_ms")
-    budgets_set = [name for name in budget_names if getattr(cfg, name) is not None]
     if cfg.method == "mzosa":
         _require(cfg.N is None,
                  "N: the restarted method runs phases * N0 outer iterations; unset N")
@@ -291,8 +293,9 @@ def validate(cfg: RunConfig):
         _require(cfg.mu > 0, "mu: must be > 0 for method = mzosa")
         _require(cfg.phases >= 1, "phases: must be >= 1 for method = mzosa")
     elif cfg.N is None:
-        _require(len(budgets_set) == 1,
-                 "N: set N or exactly one of max_zo_calls | max_comm_rounds | max_wall_ms")
+        _require(cfg.max_wall_ms is None, "max_wall_ms: a wall budget only halts a run; set N")
+        _require((cfg.max_zo_calls is None) != (cfg.max_comm_rounds is None),
+                 "N: set N or exactly one of max_zo_calls | max_comm_rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +324,13 @@ def _wire_l1(cfg: RunConfig, inst, feasible: FeasibleSet, reference: dict,
 
 
 def _build_synthetic(cfg: RunConfig) -> _Build:
-    n = cfg.n if cfg.n else 10
-    l1 = cfg.l1 if cfg.l1 is not None else 0.1
-    L_target = cfg.L if cfg.L is not None else 1.0
-    data_seed = stream_seed_int(cfg.seed, "data")
-    if cfg.mu > 0:
-        _require(cfg.mu <= L_target, "mu: must be <= L")
-        inst, feasible = make_strongly_convex_instance(
-            n, data_seed, mu=cfg.mu, L=L_target, l1=l1, box_half=cfg.box_half)
-    else:
-        inst, feasible = make_verification_instance(
-            n, data_seed, l1=l1, box_half=cfg.box_half)
+    # curvatures span [mu, L]; a convex run (mu = 0) gets H = L*I
+    L = cfg.L if cfg.L is not None else 1.0
+    _require(cfg.mu <= L, "mu: must be <= L")
+    inst, feasible = make_strongly_convex_instance(
+        cfg.n if cfg.n else 10, stream_seed_int(cfg.seed, "data"),
+        mu=cfg.mu if cfg.mu > 0 else L, L=L, l1=cfg.l1 if cfg.l1 is not None else 0.1,
+        box_half=cfg.box_half)
     reference = {}
     if cfg.reference == "auto":
         reference = {"kind": "closed_form", "value": float(inst.optimal_value())}
@@ -373,11 +372,12 @@ def _build_logreg(cfg: RunConfig) -> _Build:
 
 
 def build_graph(topology: str, m: int | None, edge_file: str | None) -> Graph:
-    """The mixing graph of a TOPOLOGIES name on m nodes; custom reads edge_file."""
+    """The mixing graph of a TOPOLOGIES name on m nodes (None: 20); custom reads
+    edge_file, on the file's node count when m is None."""
     _check_topology(topology, edge_file)
     if topology == "custom":
         return read_edge_list(edge_file, m=m)
-    return getattr(Graph, topology)(m)
+    return getattr(Graph, topology)(m if m is not None else 20)
 
 
 def _build_geom_median(cfg: RunConfig) -> _Build:
@@ -410,7 +410,7 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
     problem = lift_to_penalized(net, per_node, r=r,
                                 sphere_rng=seed_stream(cfg.seed, "sphere"),
                                 node_subgrads=subgrads, psi0_reference=psi0_ref)
-    derived = {"nonconforming_compactness": True, "bound_hint": bound_hint,
+    derived = {"nonconforming_compactness": True, "bound_hint": bound_hint, "m": m,
                "R": R, "chi": lap.chi, "lambda_max": lap.lambda_max,
                "lambda_min_plus": lap.lambda_min_plus,
                "R_y": dual_bound_radius(1.0, m, lap), "edges": len(graph.edges)}
@@ -452,22 +452,20 @@ def _largest_N_for_zo(sched_kwargs: dict, budget: int) -> int:
 def _resolve_horizon(cfg: RunConfig, sched_kwargs: dict | None) -> tuple:
     """(N, primary budget dimension) for the non-restarted methods.
 
-    With N set the budgets are secondary halts. Otherwise exactly one budget
-    is set (validated): a communication budget converts exactly (1 round per
-    zosa/gd step, 2 per zogd step), a zero-order budget picks the largest N
-    whose scheduled work fits (zosa) or budget // 2 steps (zogd), and a
-    wall-clock budget runs to N_horizon unless time halts the run first.
+    With N set the budgets are secondary halts. Otherwise exactly one of the
+    zero-order and communication budgets is set (validated): a communication
+    budget converts exactly (1 round per zosa/gd step, 2 per zogd step), and a
+    zero-order budget picks the largest N whose scheduled work fits (zosa) or
+    budget // 2 steps (zogd). A wall-clock budget only halts a run early.
     """
     if cfg.N is not None:
         return cfg.N, "N"
     per_step_comm = {"zosa": 1, "gd": 1, "zogd": 2}
     if cfg.max_comm_rounds is not None:
         return max(1, cfg.max_comm_rounds // per_step_comm[cfg.method]), "max_comm_rounds"
-    if cfg.max_zo_calls is not None:
-        if cfg.method == "zogd":
-            return max(1, cfg.max_zo_calls // 2), "max_zo_calls"
-        return _largest_N_for_zo(sched_kwargs, cfg.max_zo_calls), "max_zo_calls"
-    return cfg.N_horizon, "max_wall_ms"
+    if cfg.method == "zogd":
+        return max(1, cfg.max_zo_calls // 2), "max_zo_calls"
+    return _largest_N_for_zo(sched_kwargs, cfg.max_zo_calls), "max_zo_calls"
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +551,9 @@ def _execute(cfg: RunConfig, b: _Build) -> tuple:
         return trace, derived
 
     N, primary = _resolve_horizon(cfg, None)
-    if cfg.step_rule == "constant" and cfg.eta > 0:
-        base = cfg.eta
-    elif cfg.eta0 is not None:
-        base = cfg.eta0
-    else:
-        base = _default_eta0(cfg, b)
+    base = cfg.eta0 if cfg.eta0 is not None else _default_eta0(cfg, b)
     eta_eff = base * cfg.eta_scale
-    bl = BaselineConfig(N_steps=N, step_rule=cfg.step_rule, eta=eta_eff, eta0=eta_eff,
+    bl = BaselineConfig(N_steps=N, step_rule=cfg.step_rule, eta0=eta_eff,
                         averaging=cfg.averaging, r=(est.r if cfg.method == "zogd" else 0.0))
     if cfg.method == "gd":
         _, trace = gd_run(problem, bl, b.x0, checkpoints=cfg.checkpoints, budgets=budgets)
@@ -707,7 +700,7 @@ def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
             raise ConfigError(f"method: must be one of {', '.join(METHODS)}, got '{method}'")
         scale = 1.0
         first_scores = {}
-        if method in ("gd", "zogd") and cfg.eta0 is None and cfg.eta == 0:
+        if method in ("gd", "zogd") and cfg.eta0 is None:
             for s in _TUNING_GRID:
                 first_scores[s] = one(method, seeds[0], s * cfg.eta_scale)
             scale = min(_TUNING_GRID, key=lambda s: first_scores[s])

@@ -295,19 +295,14 @@ class SeparableLassoInstance(L1Term):
         return float(np.min(self.h))
 
 
-def make_verification_instance(n: int, seed: int, *, l1: float = 0.1,
-                               box_half: float = 2.0) -> tuple:
-    """Convex check instance (H = I) on the box [-box_half, box_half]^n.
-
-    Returns (instance, feasible set); z is drawn in [-1, 1]^n so the
-    soft-threshold optimum sits strictly inside the box.
-    """
-    return make_strongly_convex_instance(n, seed, mu=1.0, L=1.0, l1=l1, box_half=box_half)
-
-
 def make_strongly_convex_instance(n: int, seed: int, *, mu: float = 0.1, L: float = 1.0,
                                   l1: float = 0.01, box_half: float = 2.0) -> tuple:
-    """Strongly convex check instance: diagonal curvatures spanning [mu, L]."""
+    """Check instance with diagonal curvatures spanning [mu, L] (mu = L gives H = L*I)
+    on the box [-box_half, box_half]^n.
+
+    Returns (instance, feasible set); z is drawn in [-1, 1]^n so the
+    soft-threshold optimum sits strictly inside the default box.
+    """
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=n)
     h = np.linspace(mu, L, n)

@@ -8,7 +8,7 @@ from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
 from sliding_opt.harness import RunConfig, run
 from sliding_opt.network import (Graph, NetworkProblem, build_laplacian, lift_to_penalized)
 from sliding_opt.oracles import NoisyZeroOrderOracle, SmoothingEstimator
-from sliding_opt.problems import make_verification_instance, wire_composite
+from sliding_opt.problems import make_strongly_convex_instance, wire_composite
 from sliding_opt.sliding import Budgets, CompositeProblem, SolverAbort
 
 
@@ -31,7 +31,7 @@ def quad_problem(n=2, feasible=None, reference=None):
 
 def test_gd_single_explicit_step():
     problem = quad_problem()
-    cfg = BaselineConfig(N_steps=1, step_rule="constant", eta=0.5)
+    cfg = BaselineConfig(N_steps=1, step_rule="constant", eta0=0.5)
     x, trace = gd_run(problem, cfg, np.array([1.0, 0.0]))
     assert x == pytest.approx([0.5, 0.0])
     assert trace.rows[0].step == 0
@@ -41,7 +41,7 @@ def test_gd_single_explicit_step():
 
 def test_gd_zero_step_is_identity():
     problem = quad_problem()
-    cfg = BaselineConfig(N_steps=5, step_rule="constant", eta=0.0)
+    cfg = BaselineConfig(N_steps=5, step_rule="constant", eta0=0.0)
     x, _ = gd_run(problem, cfg, np.array([1.0, -1.0]))
     assert x == pytest.approx([1.0, -1.0])
 
@@ -57,7 +57,7 @@ def test_gd_inv_sqrt_schedule():
 
 def test_gd_counts_one_first_order_call_per_step():
     problem = quad_problem()
-    cfg = BaselineConfig(N_steps=7, step_rule="constant", eta=0.1)
+    cfg = BaselineConfig(N_steps=7, step_rule="constant", eta0=0.1)
     gd_run(problem, cfg, np.zeros(2))
     assert problem.counters.fo_calls == 7
     assert problem.counters.zo_calls == 0
@@ -66,7 +66,7 @@ def test_gd_counts_one_first_order_call_per_step():
 def test_gd_requires_clean_subgradient():
     problem = quad_problem()
     problem.f_subgrad = None
-    cfg = BaselineConfig(N_steps=1, step_rule="constant", eta=0.1)
+    cfg = BaselineConfig(N_steps=1, step_rule="constant", eta0=0.1)
     with pytest.raises(ValueError, match="f_subgrad"):
         gd_run(problem, cfg, np.zeros(2))
 
@@ -74,7 +74,7 @@ def test_gd_requires_clean_subgradient():
 def test_gd_running_best_reports_monotone_trace():
     problem = quad_problem()
     # overshooting constant step makes raw iterates oscillate
-    cfg = BaselineConfig(N_steps=30, step_rule="constant", eta=1.9,
+    cfg = BaselineConfig(N_steps=30, step_rule="constant", eta0=1.9,
                          averaging="running_best")
     _, trace = gd_run(problem, cfg, np.array([1.5, -1.0]), checkpoints=30)
     vals = [row.psi0 for row in trace.rows]
@@ -92,7 +92,7 @@ def test_gd_uniform_average_includes_start():
     c = np.array([1.0, -2.0])
     problem = CompositeProblem(setup, lambda x: float(c @ x), lambda x: c, est,
                                f_subgrad=lambda x: np.zeros(n), L=1.0)
-    cfg = BaselineConfig(N_steps=2, step_rule="constant", eta=0.1,
+    cfg = BaselineConfig(N_steps=2, step_rule="constant", eta0=0.1,
                          averaging="uniform_avg")
     x0 = np.array([3.0, 3.0])
     x, _ = gd_run(problem, cfg, x0)
@@ -101,7 +101,7 @@ def test_gd_uniform_average_includes_start():
 
 
 def test_gd_subgradient_method_approaches_optimum():
-    instance, feasible = make_verification_instance(4, seed=12)
+    instance, feasible = make_strongly_convex_instance(4, seed=12, mu=1.0, L=1.0, l1=0.1)
     problem, _ = wire_composite(instance, feasible,
                                 sphere_rng=np.random.default_rng(0))
     M_comb = instance.M_bound() + 2.0 * np.sqrt(4.0) * instance.L
@@ -124,14 +124,14 @@ def test_baseline_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(N_steps=1, step_rule="geometric").step_size(1)
     with pytest.raises(ValueError):
-        gd_run(problem, BaselineConfig(N_steps=1, step_rule="constant", eta=0.1),
+        gd_run(problem, BaselineConfig(N_steps=1, step_rule="constant", eta0=0.1),
                np.array([5.0, 5.0]))
 
 
 # -- zeroth-order baseline ---------------------------------------------------
 
 def test_zogd_counts_two_values_per_step_and_no_gradients():
-    instance, feasible = make_verification_instance(4, seed=1)
+    instance, feasible = make_strongly_convex_instance(4, seed=1, mu=1.0, L=1.0, l1=0.1)
     problem, sugg = wire_composite(instance, feasible,
                                    sphere_rng=np.random.default_rng(0))
     cfg = BaselineConfig(N_steps=9, step_rule="inv_sqrt", eta0=0.1, r=sugg["r"])
@@ -157,7 +157,7 @@ def test_zogd_descends_a_smooth_quadratic():
 
 
 def test_zogd_budget_halt():
-    instance, feasible = make_verification_instance(4, seed=2)
+    instance, feasible = make_strongly_convex_instance(4, seed=2, mu=1.0, L=1.0, l1=0.1)
     problem, sugg = wire_composite(instance, feasible,
                                    sphere_rng=np.random.default_rng(0))
     cfg = BaselineConfig(N_steps=100, step_rule="inv_sqrt", eta0=0.1, r=sugg["r"])
@@ -182,7 +182,7 @@ def test_zogd_aborts_when_values_blow_up():
                              rng=np.random.default_rng(0))
     problem = CompositeProblem(setup, lambda x: 0.0, lambda x: np.zeros(n), est,
                                f_subgrad=lambda x: np.zeros(n), L=1.0)
-    cfg = BaselineConfig(N_steps=3, step_rule="constant", eta=0.1, r=0.01)
+    cfg = BaselineConfig(N_steps=3, step_rule="constant", eta0=0.1, r=0.01)
     with pytest.raises(SolverAbort):
         zogd_run(problem, cfg, np.zeros(n), rng=np.random.default_rng(1))
 

@@ -59,6 +59,16 @@ GOLDEN = {
         RunConfig(experiment="synthetic", method="zogd", seed=4, n=6, N=3000, max_zo_calls=1500,
                   averaging="uniform_avg", checkpoints=5),
         "6a4e3b5113722298c574c6d3c16f9d09571ed4b6ee85e4de399c3812da2068bc", (0, 1500, 0)),
+    # one setting per run quantity: recorded with the constant step spelled
+    # eta = 0.05, and with the wall-budget horizon spelled N_horizon = 12
+    "gd-synthetic-constant": (
+        RunConfig(experiment="synthetic", method="gd", seed=6, n=6, N=400,
+                  step_rule="constant", eta0=0.05, checkpoints=5),
+        "1aa45a3bdd6fda5607763a1a04410677670cd3135eaa98fdecf5284e70a6b328", (400, 0, 0)),
+    "zosa-synthetic-wall": (
+        RunConfig(experiment="synthetic", method="zosa", seed=8, n=6, N=12, max_wall_ms=1e9,
+                  checkpoints=4),
+        "59f1ac2d6cf023af02738e741a251718ef150f3c495a2bcce8c57268e6623807", (12, 402, 0)),
 }
 
 

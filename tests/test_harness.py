@@ -4,6 +4,8 @@ import math
 import os
 import re
 import warnings
+from dataclasses import fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -99,7 +101,7 @@ def base_cfg(**kw):
     (dict(method="bogus"), "method"),
     (dict(experiment="bogus"), "experiment"),
     (dict(N=None), "N"),
-    (dict(N=None, max_zo_calls=100, max_wall_ms=10.0), "N"),
+    (dict(experiment="geom_median", N=None, max_zo_calls=100, max_comm_rounds=10), "N"),
     (dict(method="gd", max_zo_calls=100), "max_zo_calls"),
     (dict(max_comm_rounds=10), "max_comm_rounds"),
     (dict(R=5.0), "R"),
@@ -109,10 +111,26 @@ def base_cfg(**kw):
     (dict(eps=0.0), "eps"),
     (dict(noise_kind="gaussian"), "noise_kind"),
     (dict(method="zogd", with_bound=True), "with_bound"),
+    (dict(N=None, max_wall_ms=10.0), "max_wall_ms"),
+    (dict(N=None, max_zo_calls=100, max_wall_ms=10.0), "max_wall_ms"),
+    (dict(experiment="geom_median", L=2.0), "L"),
+    (dict(experiment="geom_median", l1=0.1), "l1"),
+    (dict(bound_hint=3.0), "bound_hint"),
 ])
 def test_validation_errors_name_the_field(kw, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
         validate(base_cfg(**kw))
+
+
+FLOAT_FIELDS = [name for name, hint in get_type_hints(RunConfig).items()
+                if float in (hint, *get_args(hint))]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_settings_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"^{name}: must be finite"):
+        validate(base_cfg(**{name: value}))
 
 
 def test_custom_topology_needs_edge_file():
@@ -153,9 +171,8 @@ def test_unknown_stream_rejected():
 
 
 def test_run_echoes_every_config_field_into_metadata():
-    import dataclasses
     trace = run(base_cfg())
-    for f in dataclasses.fields(RunConfig):
+    for f in fields(RunConfig):
         assert f"config.{f.name}" in trace.metadata
     assert trace.metadata["version"]
     assert "derived.r" in trace.metadata
@@ -170,23 +187,27 @@ def test_config_from_metadata_round_trips():
 
 
 def test_every_config_field_round_trips_through_metadata():
-    import dataclasses
-    cfg = RunConfig(
+    geom = RunConfig(
         experiment="geom_median", method="zosa", seed=3, n=4, N=5, phases=2, N0=7,
-        max_zo_calls=1000, max_comm_rounds=50, max_wall_ms=1234.5, N_horizon=77,
+        max_zo_calls=1000, max_comm_rounds=50, max_wall_ms=1234.5,
         checkpoints=9, out_path="out.csv", eps=0.01, r=0.002, noise_kind="uniform",
-        Delta=1e-4, topology="custom", m=5, edge_file="edges.txt", R=10.0, L=2.5, mu=0.3,
+        Delta=1e-4, topology="custom", m=5, edge_file="edges.txt", R=10.0, mu=0.3,
         M_est=1.5, c_const=2.0, C_const=3.0, T_cap=500, rho0=4.0, dataset="other.svm",
-        l1=0.01, bound_hint=3.0, box_half=1.5, step_rule="constant", eta=0.1, eta0=0.2,
+        bound_hint=3.0, box_half=1.5, step_rule="constant", eta0=0.2,
         eta_scale=0.5, averaging="uniform_avg", with_bound=True, reference="none",
         reference_max_iter=99)
-    fields = dataclasses.fields(RunConfig)
-    assert all(getattr(cfg, f.name) != f.default for f in fields)
-    trace = RunTrace()
-    _finalize_metadata(trace, cfg, {}, {})
-    back = config_from_metadata(trace.metadata)
-    assert back == cfg
-    assert all(type(getattr(back, f.name)) is type(getattr(cfg, f.name)) for f in fields)
+    # L and l1 are rejected on geom_median; R, edge_file and comm budgets off it
+    lasso = replace(geom, experiment="nesterov", L=2.5, l1=0.01, R=None, edge_file=None,
+                    max_comm_rounds=None)
+    assert all(getattr(geom, f.name) != f.default or getattr(lasso, f.name) != f.default
+               for f in fields(RunConfig))
+    for cfg in (geom, lasso):
+        trace = RunTrace()
+        _finalize_metadata(trace, cfg, {}, {})
+        back = config_from_metadata(trace.metadata)
+        assert back == cfg
+        assert all(type(getattr(back, f.name)) is type(getattr(cfg, f.name))
+                   for f in fields(RunConfig))
 
 
 def test_replay_reproduces_trace_body_exactly():
@@ -237,6 +258,21 @@ def test_geom_median_replay_identical():
                     topology="star", N=5, checkpoints=3)
     trace = run(cfg)
     assert replay(trace).body_text() == trace.body_text()
+
+
+def test_custom_topology_takes_node_count_from_edge_file(tmp_path):
+    edges = tmp_path / "chain5.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n")
+    cfg = RunConfig(experiment="geom_median", method="zosa", seed=2, n=3, topology="custom",
+                    edge_file=str(edges), N=3, checkpoints=1)
+    assert run(cfg).metadata["derived.m"] == "5"
+    assert run(replace(cfg, topology="star", edge_file=None)).metadata["derived.m"] == "20"
+
+
+def test_synthetic_convex_run_reads_L():
+    trace = run(base_cfg(L=5.0))
+    assert trace.metadata["derived.L"] == "5.0"
+    assert trace.metadata["config.mu"] == "0.0"
 
 
 def test_mzosa_counts_phases():
@@ -298,10 +334,10 @@ def test_zo_budget_derives_largest_fitting_N():
 
 
 def test_wall_budget_runs_to_horizon_or_halts():
-    trace = run(base_cfg(N=None, max_wall_ms=60000.0, N_horizon=4))
+    trace = run(base_cfg(N=4, max_wall_ms=60000.0))
     assert trace.final().step == 4
-    assert trace.metadata["derived.budget_primary"] == "max_wall_ms"
-    halted = run(base_cfg(N=None, max_wall_ms=1e-6, N_horizon=50))
+    assert trace.metadata["derived.budget_primary"] == "N"
+    halted = run(base_cfg(N=50, max_wall_ms=1e-6))
     assert halted.metadata["budget.halted"] == "wall_ms"
     assert halted.final().step < 50
 
@@ -447,11 +483,13 @@ def test_cli_run_prints_trace_without_out_path(tmp_path, capsys):
 
 def test_cli_set_overrides_and_with_bound(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
-    assert main(["run", "--config", path, "--set", "N=4", "--with-bound"]) == 0
+    assert main(["run", "--config", path, "--set", "N=4", "--set", "with_bound=true"]) == 0
     out = capsys.readouterr().out
     assert "# config.with_bound = true" in out
     header = [l for l in out.split("\n") if l.startswith("step,")][0]
     assert header.endswith(",bound")
+    with pytest.raises(SystemExit):
+        main(["run", "--config", path, "--with-bound"])
 
 
 def test_cli_validation_failures_exit_2(tmp_path, capsys):
@@ -468,7 +506,7 @@ def test_cli_runtime_abort_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
     code = main(["run", "--config", path, "--set", "experiment=nesterov",
                  "--set", "method=gd", "--set", "step_rule=constant",
-                 "--set", "eta=1e200", "--set", "N=5"])
+                 "--set", "eta0=1e200", "--set", "N=5"])
     assert code == 3
     assert "runtime abort" in capsys.readouterr().err
 
@@ -505,3 +543,5 @@ def test_cli_inspect_graph_custom_edge_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "m = 3" in out
     assert main(["inspect-graph", "--topology", "custom"]) == 2
+    assert main(["inspect-graph", "--topology", "chain"]) == 0
+    assert "m = 20" in capsys.readouterr().out

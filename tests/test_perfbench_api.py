@@ -1,0 +1,107 @@
+"""Every use the benchmark makes of the package still resolves.
+
+An ast scan of perfbench/*.py, which tier-1 never imports on the paths that
+touch most of the API (the `--trace 1` micro layers). It flags:
+
+- a name imported from `sliding_opt` that the package no longer has;
+- an attribute read on such a name that is gone, e.g. `NormPair.l1`;
+- a keyword of a call to such a name that its signature does not take,
+  e.g. a `RunConfig(...)` field that was removed;
+- a `"config.<field>"` metadata key whose field is not a RunConfig field.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from sliding_opt import RunConfig
+
+BENCH_FILES = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+CONFIG_KEY = re.compile(r"config\.(\w+)")
+
+
+def _package_names(tree) -> tuple:
+    """(local name -> package object, (line, problem) list) for the imports from
+    sliding_opt."""
+    names, problems = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sliding_opt":
+                    module = alias.name if alias.asname else "sliding_opt"
+                    names[alias.asname or "sliding_opt"] = importlib.import_module(module)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sliding_opt"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    names[alias.asname or alias.name] = getattr(module, alias.name)
+                else:
+                    problems.append((node.lineno, f"{node.module} has no {alias.name}"))
+    return names, problems
+
+
+def _resolve(node, names):
+    """The package object an expression like `Name` or `Name.attr` names, else None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, names)
+        return getattr(owner, node.attr, None) if owner is not None else None
+    return None
+
+
+def unresolved(source: str) -> list:
+    tree = ast.parse(source)
+    names, problems = _package_names(tree)
+    field_names = {f.name for f in fields(RunConfig)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = _resolve(node.value, names)
+            if owner is not None and not hasattr(owner, node.attr):
+                problems.append((node.lineno, f"{ast.unparse(node)} does not exist"))
+        elif isinstance(node, ast.Call):
+            target = _resolve(node.func, names)
+            if not callable(target):
+                continue
+            params = inspect.signature(target).parameters
+            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+                continue
+            problems.extend((node.lineno, f"{ast.unparse(node.func)}() takes no {kw.arg}=")
+                            for kw in node.keywords if kw.arg and kw.arg not in params)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = CONFIG_KEY.fullmatch(node.value)
+            if match and match.group(1) not in field_names:
+                problems.append((node.lineno, f"{node.value!r} is not a RunConfig field"))
+    return [f"{line}: {text}" for line, text in sorted(problems)]
+
+
+def test_scan_flags_each_kind_of_stale_use():
+    source = ("import sliding_opt\n"
+              "from sliding_opt import NormPair, RunConfig, retired_solver\n"
+              "NormPair.euclidean()\n"
+              "NormPair.l9()\n"
+              "RunConfig(experiment='synthetic', eta=0.1)\n"
+              "sliding_opt.run(RunConfig())\n"
+              "sliding_opt.gone\n"
+              "meta['config.mu'], meta['config.N_horizon']\n")
+    assert unresolved(source) == [
+        "2: sliding_opt has no retired_solver",
+        "4: NormPair.l9 does not exist",
+        "5: RunConfig() takes no eta=",
+        "7: sliding_opt.gone does not exist",
+        "8: 'config.N_horizon' is not a RunConfig field",
+    ]
+
+
+def test_benchmark_files_are_found():
+    assert {"checks.py", "micro.py", "workloads.py"} <= {p.name for p in BENCH_FILES}
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_benchmark_use_of_the_package_resolves(path):
+    assert unresolved(path.read_text()) == []

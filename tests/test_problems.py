@@ -10,8 +10,7 @@ from sliding_opt.oracles import NoiseModel
 from sliding_opt.problems import (GeometricMedianInstance, LogRegLassoInstance,
                                   NesterovLassoInstance, SeparableLassoInstance,
                                   dataset_path, make_strongly_convex_instance,
-                                  make_verification_instance, prox_grad_reference,
-                                  read_libsvm, weiszfeld, wire_composite)
+                                  prox_grad_reference, read_libsvm, weiszfeld, wire_composite)
 
 
 # -- geometric median --------------------------------------------------------
@@ -227,7 +226,7 @@ def test_separable_closed_form_optimum():
 
 
 def test_verification_instance_shape():
-    inst, feasible = make_verification_instance(10, seed=1)
+    inst, feasible = make_strongly_convex_instance(10, seed=1, mu=1.0, L=1.0, l1=0.1)
     assert inst.L == 1.0 and inst.mu == 1.0
     assert inst.M_bound() == pytest.approx(0.1 * np.sqrt(10.0))
     x_star = inst.minimizer()
@@ -243,7 +242,7 @@ def test_strongly_convex_instance_shape():
 
 
 def test_wire_composite_exposes_exact_reference():
-    inst, feasible = make_verification_instance(6, seed=3)
+    inst, feasible = make_strongly_convex_instance(6, seed=3, mu=1.0, L=1.0, l1=0.1)
     problem, sugg = wire_composite(inst, feasible, eps=1e-3,
                                    psi0_reference=inst.optimal_value(),
                                    sphere_rng=np.random.default_rng(0))
@@ -255,7 +254,7 @@ def test_wire_composite_exposes_exact_reference():
 
 
 def test_wire_composite_noise_kinds():
-    inst, feasible = make_verification_instance(4, seed=4)
+    inst, feasible = make_strongly_convex_instance(4, seed=4, mu=1.0, L=1.0, l1=0.1)
     noisy, _ = wire_composite(inst, feasible, Delta=1e-4, noise_kind="uniform",
                               sphere_rng=np.random.default_rng(0),
                               noise_rng=np.random.default_rng(1))
@@ -272,7 +271,7 @@ def test_wire_composite_noise_kinds():
 # -- proximal-gradient reference ---------------------------------------------
 
 def test_prox_grad_reference_recovers_separable_optimum():
-    inst, _ = make_verification_instance(8, seed=6)
+    inst, _ = make_strongly_convex_instance(8, seed=6, mu=1.0, L=1.0, l1=0.1)
     out = prox_grad_reference(inst.g_value, inst.g_grad, inst.l1, inst.L,
                               np.zeros(8), max_iter=20000)
     assert np.abs(out["x"] - inst.minimizer()).max() <= 1e-10

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup, projector, prox_step
 from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
-from sliding_opt.problems import (make_strongly_convex_instance, make_verification_instance,
-                                  wire_composite)
+from sliding_opt.problems import make_strongly_convex_instance, wire_composite
 from sliding_opt.sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
                                  build_schedule, ps_procedure, suggest_r_delta,
                                  theoretical_bound, zosa_run)
@@ -231,7 +230,7 @@ def test_zosa_drives_smooth_quadratic_to_zero_within_bound():
 
 
 def test_zosa_counters_match_schedule():
-    instance, feasible = make_verification_instance(6, seed=5)
+    instance, feasible = make_strongly_convex_instance(6, seed=5, mu=1.0, L=1.0, l1=0.1)
     problem, _ = wire_composite(instance, feasible, eps=1e-3,
                                 sphere_rng=np.random.default_rng(77))
     sched = build_schedule(L=instance.L, M_est=instance.M_bound(), n=6, C1=1.0,
@@ -245,7 +244,7 @@ def test_zosa_counters_match_schedule():
 
 def test_zosa_is_deterministic_for_fixed_seed():
     def run_once():
-        instance, feasible = make_verification_instance(5, seed=9)
+        instance, feasible = make_strongly_convex_instance(5, seed=9, mu=1.0, L=1.0, l1=0.1)
         problem, _ = wire_composite(instance, feasible, eps=1e-3,
                                     sphere_rng=np.random.default_rng(123))
         sched = build_schedule(L=instance.L, M_est=instance.M_bound(), n=5, C1=1.0,
@@ -264,7 +263,7 @@ def test_zosa_longer_horizon_shrinks_gap_within_bound():
     for N in (5, 10, 20):
         total = 0.0
         for seed in range(20):
-            instance, feasible = make_verification_instance(10, seed=404)
+            instance, feasible = make_strongly_convex_instance(10, seed=404, mu=1.0, L=1.0, l1=0.1)
             problem, sugg = wire_composite(instance, feasible, eps=1e-3,
                                            sphere_rng=np.random.default_rng(1000 + seed))
             sched = build_schedule(L=instance.L, M_est=instance.M_bound(), n=10, C1=1.0,
@@ -289,7 +288,7 @@ def test_zosa_rejects_infeasible_start():
 
 
 def test_zosa_budget_halts_within_one_outer_iteration():
-    instance, feasible = make_verification_instance(6, seed=3)
+    instance, feasible = make_strongly_convex_instance(6, seed=3, mu=1.0, L=1.0, l1=0.1)
     problem, _ = wire_composite(instance, feasible, eps=1e-3,
                                 sphere_rng=np.random.default_rng(55))
     sched = build_schedule(L=instance.L, M_est=instance.M_bound(), n=6, C1=1.0,
@@ -341,7 +340,7 @@ def test_mzosa_zero_phases_returns_start():
 
 
 def test_mzosa_requires_positive_mu():
-    instance, feasible = make_verification_instance(4, seed=2)
+    instance, feasible = make_strongly_convex_instance(4, seed=2, mu=1.0, L=1.0, l1=0.1)
     problem, _ = wire_composite(instance, feasible, sphere_rng=np.random.default_rng(5))
     sched = basic_schedule(problem, N=4, mu=0.0)
     with pytest.raises(ValueError, match="mu"):
@@ -355,7 +354,7 @@ def test_mzosa_requires_positive_mu():
     (0.5, 1.0, -1, "phases: must be >= 0"),
 ])
 def test_restart_rejects_out_of_range_fields(mu, rho0, phases, message):
-    instance, feasible = make_verification_instance(4, seed=2)
+    instance, feasible = make_strongly_convex_instance(4, seed=2, mu=1.0, L=1.0, l1=0.1)
     problem, _ = wire_composite(instance, feasible, sphere_rng=np.random.default_rng(5))
     sched = basic_schedule(problem, N=4, mu=mu)
     restart = RestartConfig(rho0=rho0, phases=phases, N0=3)
