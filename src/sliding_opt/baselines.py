@@ -7,11 +7,12 @@ format with the sliding solvers so comparisons line up column for column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import project
+from .geometry import projector
 from .oracles import EstimatorError, SmoothingEstimator
 from .sliding import (Budgets, CompositeProblem, SolverAbort, SolverState, _checkpoint_steps,
                       _Recorder)
@@ -36,7 +37,7 @@ class BaselineConfig:
         if self.step_rule == "constant":
             return self.eta0
         if self.step_rule == "inv_sqrt":
-            return self.eta0 / np.sqrt(t)
+            return self.eta0 / math.sqrt(t)
         raise ValueError(f"step_rule: unknown '{self.step_rule}'")
 
 
@@ -89,16 +90,17 @@ def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_
     _validate(cfg)
     rec = _Recorder(problem, x0, budgets)
     x = rec.x0
+    proj = projector(problem.setup.feasible)
     reporter = _Reporter(cfg, problem, x)
     marks = _checkpoint_steps(max(cfg.N_steps, 1), checkpoints)
     for t in range(1, cfg.N_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             d = direction_fn(x, t)
             target = x - cfg.step_size(t) * d
-        if not np.all(np.isfinite(target)):
+        if not np.isfinite(target).all():
             raise SolverAbort(f"non-finite iterate at step {t}",
                               SolverState(k=t, t=0, phase=0, x=x))
-        x = project(problem.setup.feasible, target)
+        x = proj(target)
         reporter.update(x)
         if rec.due(t, marks):
             rec.record(reporter.point(), t, t)

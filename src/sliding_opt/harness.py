@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
+import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, get_args, get_type_hints
@@ -73,7 +76,7 @@ def stream_seed_int(master: int, name: str) -> int:
 # configuration
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     """One run of one method on one experiment.
 
@@ -133,6 +136,8 @@ def _field_types() -> dict:
 
 
 _FIELD_TYPES = _field_types()
+# what validate accepts for each field type; only a bool field takes a bool
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
 
 
 def _coerce(key: str, raw: str):
@@ -233,9 +238,13 @@ def validate(cfg: RunConfig):
              f"experiment: must be one of {', '.join(EXPERIMENTS)}, got '{cfg.experiment}'")
     _require(cfg.method in METHODS,
              f"method: must be one of {', '.join(METHODS)}, got '{cfg.method}'")
-    for name, (kind, _) in _FIELD_TYPES.items():
+    for name, (kind, none_ok) in _FIELD_TYPES.items():
         value = getattr(cfg, name)
-        _require(kind is not float or value is None or math.isfinite(value),
+        if value is None and none_ok:
+            continue
+        _require(isinstance(value, _ACCEPTED[kind]) and isinstance(value, bool) == (kind is bool),
+                 f"{name}: expected {kind.__name__}, got {value!r}")
+        _require(kind is not float or math.isfinite(value),
                  f"{name}: must be finite, got {value!r}")
     _require(cfg.seed >= 0, "seed: must be >= 0")
     _require(cfg.n >= 0, "n: must be >= 0 (0 picks the experiment default)")
@@ -406,10 +415,9 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
         _, ref_val = weiszfeld(inst)
         psi0_ref = ref_val
         reference = {"kind": "weiszfeld", "value": ref_val}
-    subgrads = [(lambda x, _i=i: inst.node_subgrad(_i, x)) for i in range(m)]
     problem = lift_to_penalized(net, per_node, r=r,
                                 sphere_rng=seed_stream(cfg.seed, "sphere"),
-                                node_subgrads=subgrads, psi0_reference=psi0_ref)
+                                node_subgrads=inst.node_subgrads, psi0_reference=psi0_ref)
     derived = {"nonconforming_compactness": True, "bound_hint": bound_hint, "m": m,
                "R": R, "chi": lap.chi, "lambda_max": lap.lambda_max,
                "lambda_min_plus": lap.lambda_min_plus,
@@ -498,7 +506,8 @@ def _finalize_metadata(trace: RunTrace, cfg: RunConfig, derived: dict, reference
     for key, value in trace.metadata.items():
         if key not in meta:
             meta[key] = value
-    trace.metadata = meta
+    # the traces of one compare share their keys and most of their values
+    trace.metadata = {sys.intern(key): sys.intern(value) for key, value in meta.items()}
 
 
 def _default_eta0(cfg: RunConfig, b: _Build) -> float:
@@ -568,7 +577,16 @@ def run(cfg: RunConfig) -> RunTrace:
     """Execute one configured run; returns the trace (and writes out_path)."""
     validate(cfg)
     b = _BUILDERS[cfg.experiment](cfg)
-    trace, derived = _execute(cfg, b)
+    try:
+        trace, derived = _execute(cfg, b)
+    except SolverAbort as abort:
+        # a caller that keeps the abort keeps its state, not the run's problem
+        del b
+        exc = abort
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__context__
+        raise
     _finalize_metadata(trace, cfg, derived, b.reference)
     if cfg.out_path:
         trace.to_csv(cfg.out_path)

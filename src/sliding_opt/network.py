@@ -272,7 +272,7 @@ def _block_noise(models):
 
 def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
                       sphere_rng: np.random.Generator,
-                      node_subgrads: list | None = None,
+                      node_subgrads=None,
                       psi0_reference: float | None = None) -> CompositeProblem:
     """Lift per-node objectives to one composite problem on the stacked space.
 
@@ -280,6 +280,8 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
     the penalty R <x, Wx> with gradient 2 R W x (one communication round per
     counted evaluation or gradient). Supports whole_space and box per-node
     sets; diameters scale by sqrt(m), the Lipschitz bound by 1/sqrt(m).
+    node_subgrads (first-order baselines only) maps the (m, n) stack of node
+    points to the stack of their subgradients, or lists m per-node functions.
     """
     fs = setup_per_node.feasible
     m, n = net.m, net.n
@@ -307,12 +309,11 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
 
     f_subgrad = None
     if node_subgrads is not None:
+        rows = node_subgrads if callable(node_subgrads) else (
+            lambda X: np.array([sg(row) for sg, row in zip(node_subgrads, X)], dtype=float))
+
         def f_subgrad(x):
-            blocks = np.asarray(x, dtype=float).reshape(m, n)
-            out = np.empty_like(blocks)
-            for i, (sg, block) in enumerate(zip(node_subgrads, blocks)):
-                out[i] = sg(block)
-            return out.ravel() / m
+            return rows(np.asarray(x, dtype=float).reshape(m, n)).ravel() / m
 
     return CompositeProblem(setup, g_value, g_grad, estimator,
                             psi0_reference=psi0_reference, f_subgrad=f_subgrad,

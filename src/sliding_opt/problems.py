@@ -66,6 +66,13 @@ class GeometricMedianInstance:
             return np.zeros_like(d)
         return d / nd
 
+    def node_subgrads(self, X) -> np.ndarray:
+        """All m node subgradients at once, row i of X being node i's point;
+        row i equals node_subgrad(i, X[i]) bit for bit, +0.0 where its norm is 0."""
+        D = np.asarray(X, dtype=float) - self.anchors
+        nd = np.sqrt((D[:, None, :] @ D[:, :, None]).ravel())[:, None]
+        return np.divide(D, nd, out=np.zeros_like(D), where=nd != 0.0)
+
     def objective(self, x) -> float:
         """Consensus objective: the mean anchor distance of a single point."""
         x = np.asarray(x, dtype=float)
@@ -231,7 +238,8 @@ class NesterovLassoInstance(L1Term):
 
     def g_value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        quad = x[0] ** 2 + float(np.sum(np.diff(x) ** 2)) + x[-1] ** 2
+        d = x[1:] - x[:-1]
+        quad = x[0] ** 2 + float(np.add.reduce(d * d)) + x[-1] ** 2
         return self.L / 8.0 * quad - self.L / 4.0 * x[0]
 
     def g_grad(self, x) -> np.ndarray:

@@ -31,15 +31,17 @@ class TraceRow:
 _COLUMNS = ("step", "fo_calls", "zo_calls", "comm_rounds", "psi0",
             "gap_vs_reference", "consensus_sq_norm", "phase")
 
-# Cells per packed row: the ten TraceRow fields in declaration order.
-_WIDTH = 10
+# Integer cells and float cells per packed row.
+_WIDTH = 5
 
 
 class TraceRows(MutableSequence):
-    """A trace's rows, packed: ten doubles per row in one array('d') and one
-    byte per row whose bits 1, 2, 4 mark gap_vs_reference, consensus_sq_norm
-    and bound as None. Integer fields are stored as doubles, exact up to
-    2**53, beyond any count a run reaches.
+    """A trace's rows, packed: the five integer fields of a row (step, the
+    three counters, phase) in one array('i'), which becomes an array('q')
+    once a value needs more than 32 bits; its five float fields (psi0,
+    gap_vs_reference, consensus_sq_norm, bound, wall_ms) in one array('d');
+    and one byte per row whose bits 1, 2, 4 mark gap_vs_reference,
+    consensus_sq_norm and bound as None.
 
     It behaves as a list of TraceRow, slices and list equality included, but
     reading a row builds a new TraceRow: changing it leaves the trace as it
@@ -47,30 +49,31 @@ class TraceRows(MutableSequence):
     """
 
     def __init__(self, rows=()):
-        self._cells = array("d")
+        self._ints = array("i")
+        self._floats = array("d")
         self._none = bytearray()
         for row in rows:
             self.append(row)
 
-    @staticmethod
-    def _pack(row: TraceRow) -> tuple:
+    def _put(self, i: int, j: int, row: TraceRow):
+        """Store row in place of rows i..j-1 (before row i when j == i)."""
         gap, cons, bound = row.gap_vs_reference, row.consensus_sq_norm, row.bound
-        cells = [row.step, row.fo_calls, row.zo_calls, row.comm_rounds, row.psi0,
-                 0.0 if gap is None else gap, 0.0 if cons is None else cons, row.phase,
-                 0.0 if bound is None else bound, row.wall_ms]
-        return cells, (gap is None) | (cons is None) << 1 | (bound is None) << 2
+        ints = [row.step, row.fo_calls, row.zo_calls, row.comm_rounds, row.phase]
+        if self._ints.typecode == "i" and not -2 ** 31 <= min(ints) <= max(ints) < 2 ** 31:
+            self._ints = array("q", self._ints)
+        self._ints[_WIDTH * i:_WIDTH * j] = array(self._ints.typecode, ints)
+        self._floats[_WIDTH * i:_WIDTH * j] = array("d", [
+            row.psi0, 0.0 if gap is None else gap, 0.0 if cons is None else cons,
+            0.0 if bound is None else bound, row.wall_ms])
+        self._none[i:j] = bytes([(gap is None) | (cons is None) << 1 | (bound is None) << 2])
 
     def append(self, row: TraceRow):
-        cells, none = self._pack(row)
-        self._cells.fromlist(cells)
-        self._none.append(none)
+        self._put(len(self), len(self), row)
 
     def insert(self, i: int, row: TraceRow):
         n = len(self)
         i = min(max(i + n if i < 0 else i, 0), n)    # list.insert's clamping
-        cells, none = self._pack(row)
-        self._cells[_WIDTH * i:_WIDTH * i] = array("d", cells)
-        self._none.insert(i, none)
+        self._put(i, i, row)
 
     def __len__(self) -> int:
         return len(self._none)
@@ -79,32 +82,31 @@ class TraceRows(MutableSequence):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]
-        step, fo, zo, comm, psi0, gap, cons, phase, bound, wall = \
-            self._cells[_WIDTH * i:_WIDTH * (i + 1)]
+        step, fo, zo, comm, phase = self._ints[_WIDTH * i:_WIDTH * (i + 1)]
+        psi0, gap, cons, bound, wall = self._floats[_WIDTH * i:_WIDTH * (i + 1)]
         none = self._none[i]
-        return TraceRow(int(step), int(fo), int(zo), int(comm), psi0,
-                        None if none & 1 else gap, None if none & 2 else cons, int(phase),
-                        None if none & 4 else bound, wall)
+        return TraceRow(step, fo, zo, comm, psi0, None if none & 1 else gap,
+                        None if none & 2 else cons, phase, None if none & 4 else bound, wall)
 
     def __setitem__(self, i: int, row: TraceRow):
         i = range(len(self))[i]
-        cells, none = self._pack(row)
-        self._cells[_WIDTH * i:_WIDTH * (i + 1)] = array("d", cells)
-        self._none[i] = none
+        self._put(i, i + 1, row)
 
     def __delitem__(self, i: int):
         i = range(len(self))[i]
-        del self._cells[_WIDTH * i:_WIDTH * (i + 1)]
+        del self._ints[_WIDTH * i:_WIDTH * (i + 1)]
+        del self._floats[_WIDTH * i:_WIDTH * (i + 1)]
         del self._none[i]
 
     def last_counters(self) -> tuple:
         """(fo_calls, zo_calls, comm_rounds) of the last row, without building it."""
-        c = self._cells
+        c = self._ints
         return c[1 - _WIDTH], c[2 - _WIDTH], c[3 - _WIDTH]
 
     def __eq__(self, other):
         if isinstance(other, TraceRows):
-            return self._cells == other._cells and self._none == other._none
+            return (self._ints == other._ints and self._floats == other._floats
+                    and self._none == other._none)
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented

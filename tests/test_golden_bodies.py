@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from sliding_opt.harness import RunConfig, run
+from sliding_opt.sliding import SolverAbort
 
 GOLDEN = {
     "zosa-synthetic-uniform": (
@@ -69,6 +70,13 @@ GOLDEN = {
         RunConfig(experiment="synthetic", method="zosa", seed=8, n=6, N=12, max_wall_ms=1e9,
                   checkpoints=4),
         "59f1ac2d6cf023af02738e741a251718ef150f3c495a2bcce8c57268e6623807", (12, 402, 0)),
+    # recorded while the baseline step called the checked projection and the
+    # lifted subgradient looped over the nodes: zogd's full-value oracle on
+    # the lifted problem
+    "zogd-geom-star": (
+        RunConfig(experiment="geom_median", method="zogd", seed=3, n=3, m=6, topology="star",
+                  R=100.0, N=2000, checkpoints=5),
+        "9571c196bca349320133e164a00ca5429145c111e554ecaea93f8438dd98e010", (0, 4000, 4000)),
 }
 
 
@@ -79,6 +87,23 @@ def test_trace_body_matches_golden_hash(name):
     final = trace.final()
     assert (final.fo_calls, final.zo_calls, final.comm_rounds) == counters
     assert hashlib.sha256(trace.body_text().encode()).hexdigest() == digest
+
+
+# recorded with the same per-node loop: a gd run on the lifted problem whose
+# step diverges, pinned by the step it aborts at and the iterate it reports
+ABORT_GOLDEN = (
+    RunConfig(experiment="geom_median", method="gd", seed=2, n=3, m=6, topology="star",
+              R=100.0, N=400, eta0=5.0, checkpoints=2),
+    "non-finite iterate at step 104 (outer k=104, inner t=0, phase=0)",
+    "220059335b9c28ddd6740520e1e8b9fbdac2073ef451614ae769ea15c0949f69")
+
+
+def test_aborting_run_matches_golden_state():
+    cfg, message, digest = ABORT_GOLDEN
+    with pytest.raises(SolverAbort) as info:
+        run(cfg)
+    assert str(info.value) == message
+    assert hashlib.sha256(info.value.state.x.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, key, value", [

@@ -1,9 +1,11 @@
 """Config parsing, seed streams, run metadata, replay, comparisons, CLI."""
 
+import gc
 import math
 import os
 import re
 import warnings
+import weakref
 from dataclasses import fields, replace
 from typing import get_args, get_type_hints
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import sliding_opt
+from sliding_opt import harness
 from sliding_opt.cli import main
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
 from sliding_opt.harness import (ConfigError, RunConfig, _finalize_metadata,
@@ -18,7 +21,7 @@ from sliding_opt.harness import (ConfigError, RunConfig, _finalize_metadata,
                                  config_from_metadata, from_mapping, load_config,
                                  parse_config_file, parse_metric, parse_seed_spec,
                                  replay, run, seed_stream, validate)
-from sliding_opt.sliding import build_schedule, theoretical_bound
+from sliding_opt.sliding import SolverAbort, build_schedule, theoretical_bound
 from sliding_opt.trace import RunTrace
 
 
@@ -130,6 +133,21 @@ FLOAT_FIELDS = [name for name, hint in get_type_hints(RunConfig).items()
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_non_finite_float_settings_rejected(name, value):
     with pytest.raises(ConfigError, match=f"^{name}: must be finite"):
+        validate(base_cfg(**{name: value}))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("N", 2.5, "expected int"),                  # int fields reject floats ...
+    ("N", True, "expected int"),                 # ... and bools
+    ("seed", None, "expected int"),
+    ("eps", "0.1", "expected float"),            # float fields take numbers only
+    ("eps", True, "expected float"),
+    ("with_bound", "no", "expected bool"),       # bool fields take bools only
+    ("with_bound", 1, "expected bool"),
+    ("out_path", 3, "expected str"),             # str fields take str only
+])
+def test_field_types_checked_for_configs_built_in_python(name, value, message):
+    with pytest.raises(ConfigError, match=f"^{name}: {message}"):
         validate(base_cfg(**{name: value}))
 
 
@@ -445,6 +463,38 @@ def test_compare_explicit_eta0_skips_tuning():
     cfg = base_cfg(N=6, eta0=0.5)
     rows, _ = compare(cfg, ["gd"], [1, 2])
     assert rows[0]["eta_scale"] == 1.0
+
+
+def test_compare_drops_the_problem_of_a_censored_candidate(monkeypatch):
+    """A caller that keeps a censored run's SolverAbort keeps its state, not
+    the run's problem, direction block and partial trace."""
+    run_gd, run_one = harness.gd_run, harness.run
+    problems, kept = [], []
+
+    def gd(problem, *args, **kwargs):
+        problems.append(weakref.ref(problem))
+        return run_gd(problem, *args, **kwargs)
+
+    def keep_abort(cfg):
+        try:
+            return run_one(cfg)
+        except SolverAbort as abort:
+            kept.append((abort, problems[-1]))
+            raise
+
+    monkeypatch.setattr(harness, "gd_run", gd)
+    monkeypatch.setattr(harness, "run", keep_abort)
+    # the 10x tuning candidate diverges on this instance
+    cfg = RunConfig(experiment="geom_median", method="gd", m=5, n=3, N=200, R=100.0,
+                    checkpoints=2)
+    rows, _ = compare(cfg, ["gd"], [1])
+    assert rows[0]["eta_scale"] != 10.0 and len(kept) == 1
+    abort, problem = kept[0]
+    gc.collect()
+    assert problem() is None
+    state = abort.state
+    assert (state.k, state.t, state.phase) == (200, 0, 0)
+    assert state.x.shape == (15,)
 
 
 def test_compare_requires_reference():

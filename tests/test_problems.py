@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sliding_opt
 from sliding_opt.oracles import NoiseModel
@@ -188,6 +190,19 @@ def test_worstcase_gradient_matches_finite_differences():
         e[j] = h
         fd = (inst.g_value(x + e) - inst.g_value(x - e)) / (2 * h)
         assert g[j] == pytest.approx(fd, abs=1e-5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2 ** 32 - 1),
+       L=st.sampled_from((4.0, 0.3, 1e3)))
+def test_worstcase_value_matches_the_diff_formula_bit_for_bit(n, seed, L):
+    rng = np.random.default_rng(seed)
+    # entries of either sign with magnitudes from 1e-8 to 1e8, mixed within x
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    inst = NesterovLassoInstance(n=n, L=L)
+    quad = x[0] ** 2 + float(np.sum(np.diff(x) ** 2)) + x[-1] ** 2
+    old = inst.L / 8.0 * quad - inst.L / 4.0 * x[0]
+    assert np.float64(inst.g_value(x)).tobytes() == np.float64(old).tobytes()
 
 
 def test_worstcase_hessian_spectrum_stays_below_L():

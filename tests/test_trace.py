@@ -183,3 +183,16 @@ def test_rows_are_held_packed():
     trace = sample_trace()
     assert not any(isinstance(v, TraceRow) for v in vars(trace.rows).values())
     assert trace.rows == RunTrace(rows=list(trace.rows)).rows
+
+
+def test_packed_rows_widen_to_64_bit_integers_and_keep_earlier_rows():
+    small = TraceRow(step=1, fo_calls=1, zo_calls=2, comm_rounds=0, psi0=1.0, phase=-3)
+    big = TraceRow(step=2, fo_calls=2, zo_calls=2 ** 40, comm_rounds=2 ** 31, psi0=0.5)
+    rows = TraceRows([small])
+    rows.append(big)
+    assert list(rows) == [small, big]
+    rows.insert(0, replace(big, step=-2 ** 53))
+    assert rows[0].step == -2 ** 53 and rows[1:] == [small, big]
+    with pytest.raises(OverflowError):
+        rows.append(replace(big, zo_calls=2 ** 63))
+    assert len(rows) == 3
