@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import projector
-from .oracles import EstimatorError, SmoothingEstimator
+from .oracles import EstimatorError, SmoothingEstimator, _stack
 from .sliding import (Budgets, CompositeProblem, SolverAbort, SolverState, _checkpoint_steps,
                       _Recorder)
 
@@ -126,15 +126,17 @@ def gd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,
 
 
 class _FullValueOracle:
-    """Value oracle for f + g: the noisy f path plus exact g, g counted as a
-    communication on decentralized instances."""
+    """Value oracle for f + g on a (k, dim) stack: the noisy f path plus
+    exact g, each g value counted as a communication on decentralized
+    instances."""
 
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
         self.s = problem.f_oracle.s
 
-    def evaluate(self, x) -> float:
-        return self.problem.f_oracle.evaluate(x) + self.problem.g_counted(x)
+    def evaluate(self, X) -> np.ndarray:
+        X = _stack(X)
+        return self.problem.f_oracle.evaluate(X) + [self.problem.g_counted(x) for x in X]
 
 
 def zogd_run(problem: CompositeProblem, cfg: BaselineConfig, x0, *,

@@ -417,7 +417,8 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
         reference = {"kind": "weiszfeld", "value": ref_val}
     problem = lift_to_penalized(net, per_node, r=r,
                                 sphere_rng=seed_stream(cfg.seed, "sphere"),
-                                node_subgrads=inst.node_subgrads, psi0_reference=psi0_ref)
+                                node_values=inst.node_values, node_subgrads=inst.node_subgrads,
+                                psi0_reference=psi0_ref)
     derived = {"nonconforming_compactness": True, "bound_hint": bound_hint, "m": m,
                "R": R, "chi": lap.chi, "lambda_max": lap.lambda_max,
                "lambda_min_plus": lap.lambda_min_plus,
@@ -651,8 +652,8 @@ def parse_metric(spec: str) -> tuple:
             target = float(tail)
         except ValueError:
             raise ConfigError(f"metric: bad target '{tail}'") from None
-        if target <= 0:
-            raise ConfigError("metric: target must be > 0")
+        if not (math.isfinite(target) and target > 0):
+            raise ConfigError(f"metric: target must be finite and > 0, got '{tail}'")
         return "budget_to_gap", target
     raise ConfigError(f"metric: unknown '{spec}'")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FeasibleSet, NormPair, make_setup
-from .oracles import Counters, NodeTerm, SmoothingEstimator
+from .oracles import Counters, SmoothingEstimator
 from .sliding import CompositeProblem
 
 # Relative threshold separating the zero eigenvalue from the connectivity eigenvalue.
@@ -214,18 +214,15 @@ class NetworkProblem:
 
 
 class _LiftedOracle:
-    """Stacked zero-order oracle: one call evaluates every node's local term
-    on its own block, adds each node's noise and averages; the stacked call
-    counts into the network's counters and one call into each node's.
-
-    The m terms are evaluated in one block: by their instance's node_values
-    when the nodes are the NodeTerms 0..m-1 of one instance, else one f_clean
-    call per node. Zero noise adds 0.0; other noise is drawn node by node,
-    each node from its own model in node order. The average is summed left
-    to right, as a Python loop over the nodes would.
+    """Stacked zero-order oracle: a call on k points of the lifted space
+    evaluates every node's term on its own block of each point, adds node
+    i's noise, drawn from its own model over its k rows, and averages each
+    point's nodes left to right. It counts k into the network's counters and
+    into each node's. The node values come from node_values on the (k, m, n)
+    stack when given, else from node i's oracle f on its (k, n) column.
     """
 
-    def __init__(self, net: NetworkProblem):
+    def __init__(self, net: NetworkProblem, node_values=None):
         self.net = net
         oracles = net.node_oracles
         self.M = max(o.M for o in oracles) / np.sqrt(net.m)
@@ -233,46 +230,37 @@ class _LiftedOracle:
         self.Delta = max(o.Delta for o in oracles)
         self.counters = net.counters
         self._node_counters = [o.counters for o in oracles]
-        self._shape = (net.m, net.n)
-        self._values = _block_values([o.f_clean for o in oracles])
-        self._noise = _block_noise([o.noise for o in oracles])
+        self._shape = (-1, net.m, net.n)
+        self._values = node_values or (
+            lambda X: np.stack([o.f(X[:, i]) for i, o in enumerate(oracles)], axis=1))
+        self._noise = [(i, o.noise) for i, o in enumerate(oracles) if not o.noise.is_zero]
 
-    def _mean(self, vals) -> float:
+    def _mean(self, vals) -> np.ndarray:
         # add.accumulate sums in order; + 0.0 gives the sign a sum from 0.0 has
-        return float(np.add.accumulate(vals)[-1] + 0.0) / self.net.m
+        return (np.add.accumulate(vals, axis=1)[:, -1] + 0.0) / self.net.m
 
-    def evaluate(self, x) -> float:
-        self.counters.zo_calls += 1
+    def evaluate(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float).reshape(self._shape)
+        k = len(X)
+        self.counters.zo_calls += k
         for c in self._node_counters:
-            c.zo_calls += 1
-        X = np.asarray(x, dtype=float).reshape(self._shape)
-        return self._mean(self._values(X) + self._noise(X))
+            c.zo_calls += k
+        vals = self._values(X)
+        if self._noise:
+            # a zero-noise node adds 0.0, as its own oracle would
+            noise = np.zeros(vals.shape)
+            for i, nm in self._noise:
+                noise[:, i] = nm.samples(X[:, i])
+            vals = vals + noise
+        return self._mean(vals)
 
-    def clean_value(self, x) -> float:
-        return self._mean(self._values(np.asarray(x, dtype=float).reshape(self._shape)))
-
-
-def _block_values(terms):
-    """X -> the m node values, row i of X being node i's point."""
-    owner = getattr(terms[0], "instance", None)
-    if getattr(owner, "m", None) == len(terms) and all(
-            isinstance(t, NodeTerm) and t.instance is owner and t.i == i
-            for i, t in enumerate(terms)):
-        return owner.node_values
-    return lambda X: np.array([float(f(row)) for f, row in zip(terms, X)])
-
-
-def _block_noise(models):
-    """X -> the m nodes' noise: 0.0 for zero noise, as a zero-noise oracle adds."""
-    noisy = [nm.kind != "zero" and nm.Delta != 0.0 for nm in models]
-    if not any(noisy):
-        return lambda X: 0.0
-    return lambda X: np.array([nm.sample(row) for nm, row in zip(models, X)])
+    def clean_values(self, X) -> np.ndarray:
+        return self._mean(self._values(np.asarray(X, dtype=float).reshape(self._shape)))
 
 
 def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
                       sphere_rng: np.random.Generator,
-                      node_subgrads=None,
+                      node_values=None, node_subgrads=None,
                       psi0_reference: float | None = None) -> CompositeProblem:
     """Lift per-node objectives to one composite problem on the stacked space.
 
@@ -280,8 +268,9 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
     the penalty R <x, Wx> with gradient 2 R W x (one communication round per
     counted evaluation or gradient). Supports whole_space and box per-node
     sets; diameters scale by sqrt(m), the Lipschitz bound by 1/sqrt(m).
-    node_subgrads (first-order baselines only) maps the (m, n) stack of node
-    points to the stack of their subgradients, or lists m per-node functions.
+    node_values maps a (k, m, n) stack of node points to their (k, m) clean
+    values. node_subgrads (first-order baselines only) maps the (m, n) stack
+    of node points to their subgradients, or lists m per-node functions.
     """
     fs = setup_per_node.feasible
     m, n = net.m, net.n
@@ -298,7 +287,7 @@ def lift_to_penalized(net: NetworkProblem, setup_per_node, *, r: float,
     setup = make_setup(NormPair.euclidean(), stacked_set, "half_sq_euclid",
                        D_X=setup_per_node.D_X * np.sqrt(m))
 
-    oracle = _LiftedOracle(net)
+    oracle = _LiftedOracle(net, node_values)
     estimator = SmoothingEstimator(oracle, r=r, n=m * n, norms=setup.norms, rng=sphere_rng)
 
     def g_value(x):

@@ -81,6 +81,8 @@ class NoiseModel:
 
         omega is read only by the sine model, rng only by the uniform one.
         """
+        if kind not in ("zero", "uniform", "adversarial_sine"):
+            raise ValueError(f"noise kind: unknown '{kind}'")
         if kind == "zero" or Delta == 0.0:
             return NoiseModel.zero()
         if kind == "uniform":
@@ -102,69 +104,66 @@ class NoiseModel:
         omega = _as_vector(omega, "omega")
         return NoiseModel("adversarial_sine", Delta=float(Delta), omega=omega)
 
-    def sample(self, x) -> float:
-        if self.kind == "zero" or self.Delta == 0.0:
+    @property
+    def is_zero(self) -> bool:
+        return self.kind == "zero" or self.Delta == 0.0
+
+    def samples(self, X):
+        """The noise of each row of the (k, dim) stack X, drawn in row order.
+
+        Zero noise is the scalar 0.0: adding it still turns -0.0 into 0.0.
+        """
+        if self.is_zero:
             return 0.0
         if self.kind == "uniform":
-            # numpy's uniform(low, high) is low + (high - low) * next_double;
-            # the same two operations on random() give the same value.
-            return -self.Delta + 2.0 * self.Delta * self.rng.random()
-        t = float(self.omega @ np.asarray(x)) / max(self.Delta, 1e-30)
-        return self.Delta * float(np.sin(t))
+            # low + (high - low) * next_double per value: the k values of k
+            # -Delta + 2 Delta * random() calls
+            return self.rng.uniform(-self.Delta, self.Delta, len(X))
+        # (1, n) @ (n, 1) per row runs the dot kernel of omega @ x
+        t = (X[:, None, :] @ self.omega[:, None]).ravel() / max(self.Delta, 1e-30)
+        return self.Delta * np.sin(t)
 
 
-@dataclass(frozen=True)
-class NodeTerm:
-    """Node i's term x -> instance.node_value(i, x) of a per-node instance.
-
-    A lifted oracle whose nodes are the terms 0..m-1 of one instance
-    evaluates them all in one instance.node_values(X) call, which must equal
-    the m node_value calls bit for bit.
-    """
-
-    instance: object
-    i: int
-
-    def __call__(self, x) -> float:
-        return self.instance.node_value(self.i, x)
+def _stack(X) -> np.ndarray:
+    """X as a (k, dim) stack of points; a 1-d point is a stack of one."""
+    X = np.asarray(X, dtype=float)
+    return X[None] if X.ndim == 1 else X
 
 
 class NoisyZeroOrderOracle:
-    """Value access to f through f(x) + bounded noise; counts every call in
-    counters.zo_calls.
+    """Value access to f through f(x) + bounded noise. f maps a (k, dim)
+    stack of points to their k values; evaluate(X) adds one noise draw per
+    row and counts k calls in counters.zo_calls.
 
     M bounds the Lipschitz constant (sup ||grad f(x)||_2), s is the radius
     of the neighborhood of the feasible set on which queries stay valid.
-    clean_value bypasses both noise and the counter and exists for
+    clean_values bypasses both noise and the counter and exists for
     diagnostics and trace checkpoints only.
     """
 
-    def __init__(self, f_clean: Callable[[np.ndarray], float], *, M: float, s: float,
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], *, M: float, s: float,
                  noise: NoiseModel | None = None):
         if M < 0:
             raise ValueError("M: must be >= 0")
         if s <= 0:
             raise ValueError("s: must be > 0")
-        self.f_clean = f_clean
+        self.f = f
         self.M = float(M)
         self.s = float(s)
         self.noise = noise if noise is not None else NoiseModel.zero()
         self.Delta = self.noise.Delta
-        self._noisy = not (self.noise.kind == "zero" or self.noise.Delta == 0.0)
         self.counters = Counters()
 
-    def evaluate(self, x) -> float:
-        self.counters.zo_calls += 1
-        val = float(self.f_clean(x))
-        if self._noisy:
-            return val + self.noise.sample(x)
-        return val + 0.0    # what adding zero noise gives: -0.0 becomes 0.0
+    def evaluate(self, X) -> np.ndarray:
+        X = _stack(X)
+        self.counters.zo_calls += len(X)
+        return self.f(X) + self.noise.samples(X)
 
-    def clean_value(self, x) -> float:
-        return float(self.f_clean(x))
+    def clean_values(self, X) -> np.ndarray:
+        return self.f(_stack(X))
 
 
-# Bytes an estimator holds per block: the directions and their steps r*e.
+# Bytes an estimator holds per block: the directions and their offsets +-r*e.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -176,8 +175,9 @@ class SmoothingEstimator:
     oracle calls. Requires r < s * C3 so both query points stay inside the
     oracle's validity neighborhood of the feasible set.
 
-    Directions are drawn from rng in blocks of 4096 // n rows (with their
-    steps r*e, about 64 KiB) and handed out one row at a time. They are, in
+    Both values come from one oracle call on the (2, n) stack x + (r e, -r e).
+    Directions are drawn from rng in blocks of 2730 // n rows (with their
+    offsets +-r*e, about 64 KiB) and handed out one row at a time. They are, in
     order, exactly the values successive sample_sphere(n, rng) calls would
     return. The generator is read ahead by up to one block, so a caller who
     also draws from rng sees its state move in blocks and gets different
@@ -199,12 +199,12 @@ class SmoothingEstimator:
         self.p_star = float(p_star) if p_star is not None else default_p_star(norms, n)
         self.rng = rng if rng is not None else np.random.default_rng()
         self._scale = self.n / (2.0 * self.r)
-        self._rows = max(1, _BLOCK_BYTES // (16 * self.n))
+        self._rows = max(1, _BLOCK_BYTES // (24 * self.n))
         self._pairs = iter(())
 
     def _direction(self) -> tuple:
-        """The next direction e and its step r*e, e being the value that
-        sample_sphere(n, rng) would return."""
+        """The next direction e and its (2, n) offsets (r e, -r e), e being
+        the value that sample_sphere(n, rng) would return."""
         while True:
             for pair in self._pairs:
                 return pair
@@ -215,13 +215,14 @@ class SmoothingEstimator:
             keep = nrm > 1e-12
             # fresh arrays per refill: rows handed out earlier never change
             e = g[keep] / nrm[keep, None]
-            self._pairs = zip(e, self.r * e)
+            step = self.r * e
+            # x + (-r e) is x - r e bit for bit
+            self._pairs = zip(e, np.stack((step, -step), axis=1))
 
     def estimate_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        e, step = self._direction()
-        fp = self.oracle.evaluate(x + step)
-        fm = self.oracle.evaluate(x - step)
+        e, offsets = self._direction()
+        fp, fm = self.oracle.evaluate(x + offsets).tolist()
         val = self._scale * (fp - fm)
         if not math.isfinite(val):
             raise EstimatorError(f"non-finite estimate ({fp} vs {fm})", x=x, e=e)

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FeasibleSet, NormPair, make_setup
-from .oracles import NodeTerm, NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
+from .oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
 from .sliding import CompositeProblem, suggest_r_delta
 
 
 class L1Term:
     """f = l1 * ||x||_1 for instances with l1 and n; M_bound() is its Lipschitz bound."""
 
-    def f_value(self, x) -> float:
-        return self.l1 * float(np.add.reduce(np.abs(x)))
+    def f_values(self, X):
+        """f of each row of a (k, n) stack; of a single point, its value."""
+        return self.l1 * np.add.reduce(np.abs(X), axis=-1)
 
     def f_subgrad(self, x) -> np.ndarray:
         return self.l1 * np.sign(np.asarray(x, dtype=float))
@@ -34,6 +35,13 @@ class L1Term:
 
 # ---------------------------------------------------------------------------
 # geometric median
+
+def _row_norms(D) -> np.ndarray:
+    """The Euclidean norm of each row of D (its last axis), each equal to
+    np.linalg.norm of that row bit for bit."""
+    # (1, n) @ (n, 1) per row runs the dot kernel of np.linalg.norm
+    return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+
 
 @dataclass(frozen=True)
 class GeometricMedianInstance:
@@ -49,15 +57,10 @@ class GeometricMedianInstance:
         anchors = 1.0 + math.sqrt(2.0) * rng.standard_normal((m, n))
         return GeometricMedianInstance(m, n, anchors)
 
-    def node_value(self, i: int, x) -> float:
-        return float(np.linalg.norm(np.asarray(x) - self.anchors[i]))
-
     def node_values(self, X) -> np.ndarray:
-        """All m node values at once, row i of X being node i's point; each
-        equals node_value(i, X[i]) bit for bit."""
-        D = np.asarray(X) - self.anchors
-        # (1, n) @ (n, 1) per row runs the dot kernel of np.linalg.norm
-        return np.sqrt((D[:, None, :] @ D[:, :, None]).ravel())
+        """The node values of a (..., m, n) stack of node points: entry
+        [..., i] is node i's distance ||X[..., i, :] - b_i||_2."""
+        return _row_norms(np.asarray(X) - self.anchors)
 
     def node_subgrad(self, i: int, x) -> np.ndarray:
         d = np.asarray(x, dtype=float) - self.anchors[i]
@@ -70,7 +73,7 @@ class GeometricMedianInstance:
         """All m node subgradients at once, row i of X being node i's point;
         row i equals node_subgrad(i, X[i]) bit for bit, +0.0 where its norm is 0."""
         D = np.asarray(X, dtype=float) - self.anchors
-        nd = np.sqrt((D[:, None, :] @ D[:, :, None]).ravel())[:, None]
+        nd = _row_norms(D)[:, None]
         return np.divide(D, nd, out=np.zeros_like(D), where=nd != 0.0)
 
     def objective(self, x) -> float:
@@ -79,11 +82,10 @@ class GeometricMedianInstance:
         return float(np.mean(np.linalg.norm(self.anchors - x, axis=1)))
 
     def make_node_oracles(self, *, s: float, noise_models: list | None = None) -> list:
-        oracles = []
-        for i in range(self.m):
-            noise = noise_models[i] if noise_models is not None else NoiseModel.zero()
-            oracles.append(NoisyZeroOrderOracle(NodeTerm(self, i), M=1.0, s=s, noise=noise))
-        return oracles
+        """Node i's oracle: the distances of a (k, n) stack to b_i, plus its noise."""
+        models = noise_models if noise_models is not None else [None] * self.m
+        return [NoisyZeroOrderOracle(lambda X, b=b: _row_norms(X - b), M=1.0, s=s, noise=nm)
+                for b, nm in zip(self.anchors, models)]
 
 
 def weiszfeld(instance: GeometricMedianInstance, tol: float = 1e-13,
@@ -286,7 +288,7 @@ class SeparableLassoInstance(L1Term):
         return self.h * (np.asarray(x, dtype=float) - self.z)
 
     def psi0(self, x) -> float:
-        return self.g_value(x) + self.f_value(x)
+        return self.g_value(x) + float(self.f_values(x))
 
     def minimizer(self) -> np.ndarray:
         return _soft_threshold(self.z, self.l1 / self.h)
@@ -337,7 +339,7 @@ def wire_composite(instance: L1Term, feasible: FeasibleSet, *, eps: float = 1e-3
     if r is not None:
         sugg["r"] = r
     noise = NoiseModel.build(noise_kind, Delta, np.arange(1, n + 1, dtype=float), noise_rng)
-    oracle = NoisyZeroOrderOracle(instance.f_value, M=M, s=2.0 * sugg["r"], noise=noise)
+    oracle = NoisyZeroOrderOracle(instance.f_values, M=M, s=2.0 * sugg["r"], noise=noise)
     estimator = SmoothingEstimator(oracle, r=sugg["r"], n=n, norms=norms, rng=sphere_rng)
     problem = CompositeProblem(setup, instance.g_value, instance.g_grad, estimator,
                                psi0_reference=psi0_reference,

@@ -152,7 +152,7 @@ class CompositeProblem:
         return self._g_grad(x)
 
     def f_clean(self, x) -> float:
-        return self.f_oracle.clean_value(x)
+        return float(self.f_oracle.clean_values(np.asarray(x, dtype=float)[None])[0])
 
     def psi0(self, x) -> float:
         return self.f_clean(x) + self.g(x)

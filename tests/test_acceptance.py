@@ -90,7 +90,7 @@ def test_criterion_02_estimator_moments():
     x = np.zeros(n)
     norms = NormPair.euclidean()
 
-    clean = NoisyZeroOrderOracle(c.dot, M=1.0, s=10.0)
+    clean = NoisyZeroOrderOracle(lambda X: X @ c, M=1.0, s=10.0)
     est = SmoothingEstimator(clean, r=0.1, n=n, norms=norms,
                              rng=np.random.default_rng(11))
     acc = np.zeros(n)
@@ -105,7 +105,7 @@ def test_criterion_02_estimator_moments():
     stderr_clean = math.sqrt(var_total / S)
 
     Delta, r = 1e-3, 0.1
-    noisy = NoisyZeroOrderOracle(c.dot, M=1.0, s=10.0,
+    noisy = NoisyZeroOrderOracle(lambda X: X @ c, M=1.0, s=10.0,
                                  noise=NoiseModel.uniform(Delta, np.random.default_rng(12)))
     est_n = SmoothingEstimator(noisy, r=r, n=n, norms=norms,
                                rng=np.random.default_rng(13))
@@ -137,16 +137,14 @@ def test_criterion_03_smoothing_approximation():
     t0 = time.perf_counter()
     n, S = 6, 3000
     rng = np.random.default_rng(21)
-    oracle = NoisyZeroOrderOracle(lambda v: float(np.linalg.norm(v)), M=1.0, s=10.0)
+    oracle = NoisyZeroOrderOracle(lambda X: np.linalg.norm(X, axis=1), M=1.0, s=10.0)
     worst = -math.inf
     ok = True
     for r in (0.1, 0.01):
         for _ in range(20):
             x = rng.standard_normal(n)
-            vals = np.empty(S)
-            for i in range(S):
-                e = sample_sphere(n, rng)
-                vals[i] = oracle.evaluate(x + r * e)
+            E = np.array([sample_sphere(n, rng) for _ in range(S)])
+            vals = oracle.evaluate(x + r * E)
             f_hat = float(vals.mean())
             stderr = float(vals.std(ddof=1)) / math.sqrt(S)
             err = abs(f_hat - float(np.linalg.norm(x)))
@@ -303,7 +301,7 @@ def test_criterion_08_laplacian_spectra():
     for m in range(3, 7):
         for n in range(1, 7):
             lap = build_laplacian(factories[(m + n) % 3](m))
-            oracles = [NoisyZeroOrderOracle(lambda v: 0.0, M=0.0, s=1.0)
+            oracles = [NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=0.0, s=1.0)
                        for _ in range(m)]
             net = NetworkProblem(lap, n, oracles, R=1.0)
             x = rng.standard_normal(m * n)

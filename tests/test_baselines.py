@@ -18,7 +18,7 @@ def quad_problem(n=2, feasible=None, reference=None):
         feasible = FeasibleSet.box(-2.0 * np.ones(n), 2.0 * np.ones(n))
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
-    oracle = NoisyZeroOrderOracle(lambda x: 0.0, M=0.0, s=1.0)
+    oracle = NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=0.0, s=1.0)
     est = SmoothingEstimator(oracle, r=0.01, n=feasible.n, norms=norms,
                              rng=np.random.default_rng(0))
     return CompositeProblem(setup, lambda x: 0.5 * float(np.dot(x, x)),
@@ -86,7 +86,7 @@ def test_gd_uniform_average_includes_start():
     feasible = FeasibleSet.whole_space(n, bound_hint=100.0)
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
-    oracle = NoisyZeroOrderOracle(lambda x: 0.0, M=0.0, s=1.0)
+    oracle = NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=0.0, s=1.0)
     est = SmoothingEstimator(oracle, r=0.01, n=n, norms=norms,
                              rng=np.random.default_rng(0))
     c = np.array([1.0, -2.0])
@@ -174,8 +174,8 @@ def test_zogd_aborts_when_values_blow_up():
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
 
-    def spiky(x):
-        return float("inf") if np.linalg.norm(x) > 1e-12 else 0.0
+    def spiky(X):
+        return np.where(np.linalg.norm(X, axis=1) > 1e-12, np.inf, 0.0)
 
     oracle = NoisyZeroOrderOracle(spiky, M=1.0, s=1.0)
     est = SmoothingEstimator(oracle, r=0.01, n=n, norms=norms,
@@ -201,7 +201,7 @@ def test_gd_divergence_aborts_without_overflow_warnings():
 def test_zogd_full_value_queries_cost_communication_on_lifted_problems():
     lap = build_laplacian(Graph.star(3))
     n = 2
-    oracles = [NoisyZeroOrderOracle(lambda x: float(np.sum(x)), M=np.sqrt(2.0), s=1.0)
+    oracles = [NoisyZeroOrderOracle(lambda X: np.sum(X, axis=1), M=np.sqrt(2.0), s=1.0)
                for _ in range(3)]
     net = NetworkProblem(lap, n, oracles, R=2.0)
     per_node = make_setup(NormPair.euclidean(),

@@ -77,6 +77,26 @@ GOLDEN = {
         RunConfig(experiment="geom_median", method="zogd", seed=3, n=3, m=6, topology="star",
                   R=100.0, N=2000, checkpoints=5),
         "9571c196bca349320133e164a00ca5429145c111e554ecaea93f8438dd98e010", (0, 4000, 4000)),
+    # recorded while every oracle answered one point per call: sine noise,
+    # one uniform noise stream per node under zosa and under zogd's
+    # full-value oracle, and the running-best reported point
+    "zosa-synthetic-sine": (
+        RunConfig(experiment="synthetic", method="zosa", seed=5, n=6, N=30,
+                  noise_kind="adversarial_sine", Delta=1e-4, checkpoints=6),
+        "67566e16b401f67294e1e3e3912f15b193ed0e448351346e833cd6599b3f81df", (30, 25102, 0)),
+    "zosa-geom-chain-uniform": (
+        RunConfig(experiment="geom_median", method="zosa", seed=2, n=3, m=6,
+                  topology="chain", R=100.0, noise_kind="uniform", Delta=1e-5,
+                  max_comm_rounds=600, checkpoints=5),
+        "3ba8b64b08400d36f42b0b75240476b2465f7830890dcc39ece310548a012f1f", (600, 3450, 600)),
+    "zogd-geom-star-uniform": (
+        RunConfig(experiment="geom_median", method="zogd", seed=3, n=3, m=6, topology="star",
+                  R=100.0, N=2000, noise_kind="uniform", Delta=1e-5, checkpoints=5),
+        "f1498eed2b464c59c5947b1edbb775d3e67300f0a74ee434b692f5404cf46160", (0, 4000, 4000)),
+    "zogd-synthetic-best": (
+        RunConfig(experiment="synthetic", method="zogd", seed=4, n=6, N=3000,
+                  averaging="running_best", checkpoints=5),
+        "b327ca340c6bd7acde103ec9970c1d5514aa594f0090f1fa0142033c0ed3c33c", (0, 6000, 0)),
 }
 
 

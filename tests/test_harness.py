@@ -431,6 +431,9 @@ def test_parse_metric_forms():
         parse_metric("speed")
     with pytest.raises(ConfigError):
         parse_metric("budget_to_gap:zero")
+    for tail in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_metric(f"budget_to_gap:{tail}")
 
 
 def test_compare_table_shape_and_tuning():
@@ -569,6 +572,14 @@ def test_cli_bench_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("method,topology,metric,")
     assert "\nzosa,-," in out
+
+
+def test_cli_bench_rejects_a_non_finite_target(tmp_path, capsys):
+    path = write_config(tmp_path, BASE)
+    code = main(["bench", "--config", path, "--methods", "zosa", "--seeds", "1..2",
+                 "--metric", "budget_to_gap:nan"])
+    assert code == 2
+    assert "metric" in capsys.readouterr().err
 
 
 def test_cli_inspect_graph(capsys):

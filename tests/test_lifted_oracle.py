@@ -1,5 +1,5 @@
-"""The lifted oracle's block evaluation, and the lifted problem's block
-subgradient, against the per-node loops they replace."""
+"""The lifted oracle's stacked evaluation, and the lifted problem's block
+subgradient, against the serial per-node loops they replace."""
 
 import numpy as np
 import pytest
@@ -7,36 +7,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
+from sliding_opt.harness import _BUILDERS, RunConfig
 from sliding_opt.network import (Graph, NetworkProblem, _LiftedOracle, build_laplacian,
                                  lift_to_penalized)
 from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle
 from sliding_opt.problems import GeometricMedianInstance
 
 NOISE_KINDS = ("zero", "uniform", "adversarial_sine")
+# how the node values are computed: the instance's node_values on the whole
+# stack (the harness path), each geometric-median node oracle on its column,
+# or each node oracle of a generic per-node function on its column
+TERMS = ("geom_block", "geom_nodes", "generic")
 
 
 def build_net(m, n, seed, noise_kind, terms):
-    """A star network on m nodes; 'geom' nodes are a geometric-median
-    instance's oracles, 'generic' ones linear functions given as lambdas."""
+    """A star network on m nodes with node i's noise seeded by [seed, i]; returns
+    the instance, the network, its lifted oracle and the serial per-point
+    node functions."""
     rng = np.random.default_rng(seed)
     inst = GeometricMedianInstance.sample(m, n, rng)
     noise = [NoiseModel.build(noise_kind, 0.01 * (i + 1), (i + 1.0) * np.arange(1, n + 1),
                               np.random.default_rng([seed, i])) for i in range(m)]
-    if terms == "geom":
-        oracles = inst.make_node_oracles(s=0.1, noise_models=noise)
-    else:
+    if terms == "generic":
         coefs = rng.standard_normal((m, n))
-        oracles = [NoisyZeroOrderOracle(lambda x, c=c: float(c @ x), M=1.0, s=0.1, noise=nm)
+        oracles = [NoisyZeroOrderOracle(lambda X, c=c: np.add.reduce(np.abs(X - c), axis=-1),
+                                        M=1.0, s=0.1, noise=nm)
                    for c, nm in zip(coefs, noise)]
-    return inst, NetworkProblem(build_laplacian(Graph.star(m)), n, oracles, R=1.0)
+        point_fns = [lambda x, c=c: float(np.add.reduce(np.abs(x - c))) for c in coefs]
+    else:
+        oracles = inst.make_node_oracles(s=0.1, noise_models=noise)
+        point_fns = [lambda x, b=b: float(np.linalg.norm(x - b)) for b in inst.anchors]
+    net = NetworkProblem(build_laplacian(Graph.star(m)), n, oracles, R=1.0)
+    lifted = _LiftedOracle(net, inst.node_values if terms == "geom_block" else None)
+    return inst, net, lifted, point_fns
 
 
-def loop_value(net, x, clean=False):
-    """What the lifted oracle computed before its block evaluation."""
+def serial_noise(nm, x) -> float:
+    """One point's noise as a per-point oracle drew it."""
+    if nm.kind == "zero":
+        return 0.0
+    if nm.kind == "uniform":
+        return -nm.Delta + 2.0 * nm.Delta * nm.rng.random()
+    return nm.Delta * float(np.sin(float(nm.omega @ x) / max(nm.Delta, 1e-30)))
+
+
+def loop_value(point_fns, models, m, x, clean=False):
+    """What the lifted oracle computed for one point before it answered stacks."""
     total = 0.0
-    for oracle, block in zip(net.node_oracles, np.asarray(x).reshape(net.m, net.n)):
-        total += oracle.clean_value(block) if clean else oracle.evaluate(block)
-    return total / net.m
+    for f, nm, block in zip(point_fns, models, np.asarray(x).reshape(m, -1)):
+        total += f(block) if clean else f(block) + serial_noise(nm, block)
+    return total / m
 
 
 def same_bits(a, b):
@@ -45,39 +65,51 @@ def same_bits(a, b):
 
 @settings(max_examples=120, deadline=None)
 @given(m=st.integers(2, 30), n=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1),
-       noise_kind=st.sampled_from(NOISE_KINDS), terms=st.sampled_from(("geom", "generic")),
-       queries=st.integers(1, 4), spread=st.sampled_from((0.0, 1e-8, 1.0, 1e3)))
-def test_block_evaluate_equals_the_per_node_loop(m, n, seed, noise_kind, terms, queries,
+       noise_kind=st.sampled_from(NOISE_KINDS), terms=st.sampled_from(TERMS),
+       k=st.integers(1, 4), queries=st.integers(1, 4),
+       spread=st.sampled_from((0.0, 1e-8, 1.0, 1e3)))
+def test_block_evaluate_equals_the_per_node_loop(m, n, seed, noise_kind, terms, k, queries,
                                                  spread):
-    inst, net = build_net(m, n, seed, noise_kind, terms)
-    _, ref = build_net(m, n, seed, noise_kind, terms)
-    lifted = _LiftedOracle(net)
+    inst, net, lifted, point_fns = build_net(m, n, seed, noise_kind, terms)
+    ref = [o.noise for o in build_net(m, n, seed, noise_kind, terms)[1].node_oracles]
     rng = np.random.default_rng(seed + 1)
-    for _ in range(queries):
+    for q in range(1, queries + 1):
         # spread 0 puts every block on its anchor, where the norm is zero
-        x = inst.anchors.ravel() + spread * rng.standard_normal(m * n)
-        assert same_bits(lifted.evaluate(x), loop_value(ref, x))
-        assert same_bits(lifted.clean_value(x), loop_value(ref, x, clean=True))
-    assert net.counters.zo_calls == queries
-    # each node keeps its own count, as it did under the per-node loop
-    assert all(o.counters.zo_calls == queries for o in net.node_oracles + ref.node_oracles)
+        X = inst.anchors.ravel() + spread * rng.standard_normal((k, m * n))
+        got, clean = lifted.evaluate(X), lifted.clean_values(X)
+        assert got.shape == clean.shape == (k,)
+        for j, x in enumerate(X):
+            assert same_bits(got[j], loop_value(point_fns, ref, m, x))
+            assert same_bits(clean[j], loop_value(point_fns, ref, m, x, clean=True))
+        # a stacked call of k points counts k, at the network and at every node
+        assert net.counters.zo_calls == q * k
+        assert all(o.counters.zo_calls == q * k for o in net.node_oracles)
+    # a single point is a stack of one
+    x = inst.anchors.ravel() + spread * rng.standard_normal(m * n)
+    assert same_bits(lifted.evaluate(x)[0], loop_value(point_fns, ref, m, x))
+    assert net.counters.zo_calls == queries * k + 1
 
 
 @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
 def test_geometric_median_nodes_take_the_block_path(noise_kind):
-    inst, net = build_net(5, 3, 0, noise_kind, "geom")
-    lifted = _LiftedOracle(net)
-    assert lifted._values == inst.node_values
+    cfg = RunConfig(experiment="geom_median", m=5, n=3, noise_kind=noise_kind,
+                    Delta=0.0 if noise_kind == "zero" else 1e-3, reference="none")
+    values = _BUILDERS["geom_median"](cfg).problem.f_oracle._values
+    assert values.__func__ is GeometricMedianInstance.node_values
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=st.integers(1, 64), n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
-def test_node_values_equal_node_value_bit_for_bit(m, n, seed):
+@given(m=st.integers(1, 64), n=st.integers(1, 200), k=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_node_values_equal_node_value_bit_for_bit(m, n, k, seed):
     rng = np.random.default_rng(seed)
     inst = GeometricMedianInstance.sample(m, n, rng)
-    X = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8)
+    X = rng.standard_normal((k, m, n)) * 10.0 ** rng.integers(-8, 8)
     values = inst.node_values(X)
-    assert all(same_bits(v, inst.node_value(i, X[i])) for i, v in enumerate(values))
+    assert values.shape == (k, m)
+    assert all(same_bits(values[j, i], np.linalg.norm(X[j, i] - inst.anchors[i]))
+               for j in range(k) for i in range(m))
+    assert inst.node_values(X[0]).tobytes() == values[0].tobytes()
 
 
 # distance scales of a row from its anchor: 0 puts the row on its anchor, and
@@ -103,7 +135,7 @@ def test_node_subgrads_equal_node_subgrad_bit_for_bit(m, n, seed, scales):
 
 def test_lifted_subgradient_block_path_equals_list_path():
     m, n = 7, 4
-    inst, net = build_net(m, n, 3, "zero", "geom")
+    inst, net, _, _ = build_net(m, n, 3, "zero", "geom_nodes")
     per_node = make_setup(NormPair.euclidean(), FeasibleSet.whole_space(n, 10.0),
                           "half_sq_euclid")
 

@@ -8,9 +8,13 @@ from sliding_opt.network import (Graph, GraphError, NetworkProblem,
 from sliding_opt.oracles import NoisyZeroOrderOracle
 
 
+def zero_oracles(m):
+    return [NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=1.0, s=1.0) for _ in range(m)]
+
+
 def two_node_net(n=1, R=1.0):
     lap = build_laplacian(Graph.chain(2))
-    oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0) for _ in range(2)]
+    oracles = zero_oracles(2)
     return NetworkProblem(lap, n, oracles, R)
 
 
@@ -73,7 +77,7 @@ def test_blockwise_apply_matches_kronecker():
     for m, n in [(2, 1), (3, 2), (4, 3), (6, 6)]:
         graph = Graph.cycle(m) if m >= 3 else Graph.chain(m)
         lap = build_laplacian(graph)
-        oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0) for _ in range(m)]
+        oracles = zero_oracles(m)
         net = NetworkProblem(lap, n, oracles, R=2.0)
         x = rng.standard_normal(m * n)
         dense = np.kron(lap.W_bar, np.eye(n)) @ x
@@ -84,7 +88,7 @@ def test_consensus_violation_matches_sqrt_laplacian_norm():
     rng = np.random.default_rng(11)
     lap = build_laplacian(Graph.star(5))
     n = 3
-    oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0) for _ in range(5)]
+    oracles = zero_oracles(5)
     net = NetworkProblem(lap, n, oracles, R=1.0)
     eigval, eigvec = np.linalg.eigh(lap.W_bar)
     sqrt_W = eigvec @ np.diag(np.sqrt(np.maximum(eigval, 0.0))) @ eigvec.T
@@ -118,7 +122,7 @@ def test_dual_bound_radius_example():
 
 def test_network_problem_validation():
     lap = build_laplacian(Graph.chain(2))
-    oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0)]
+    oracles = zero_oracles(1)
     with pytest.raises(ValueError, match="node_oracles"):
         NetworkProblem(lap, 1, oracles, R=1.0)
     with pytest.raises(ValueError, match="R"):
@@ -130,7 +134,7 @@ def test_network_problem_validation():
 
 def test_penalty_lipschitz_constant():
     lap = build_laplacian(Graph.star(4))
-    oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0) for _ in range(4)]
+    oracles = zero_oracles(4)
     net = NetworkProblem(lap, 2, oracles, R=5.0)
     assert net.L_penalty == pytest.approx(2.0 * 5.0 * lap.lambda_max)
 
@@ -173,8 +177,7 @@ def lifted_fixture(m=3, n=2, R=4.0, box_half=1.0, seed=0):
     lap = build_laplacian(Graph.star(m))
     rng = np.random.default_rng(seed)
     coefs = [rng.standard_normal(n) for _ in range(m)]
-    oracles = [NoisyZeroOrderOracle(lambda x, c=c: float(c @ x),
-                                    M=float(np.linalg.norm(c)), s=1.0)
+    oracles = [NoisyZeroOrderOracle(lambda X, c=c: X @ c, M=float(np.linalg.norm(c)), s=1.0)
                for c in coefs]
     net = NetworkProblem(lap, n, oracles, R)
     per_node = make_setup(NormPair.euclidean(),
@@ -203,12 +206,12 @@ def test_lift_zero_order_call_averages_nodes_and_counts_every_oracle():
     net, coefs, problem = lifted_fixture()
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=6)
-    val = problem.f_oracle.evaluate(x)
+    val, = problem.f_oracle.evaluate(x)
     blocks = x.reshape(3, 2)
     assert val == pytest.approx(np.mean([c @ b for c, b in zip(coefs, blocks)]))
     assert problem.counters.zo_calls == 1
     assert all(o.counters.zo_calls == 1 for o in net.node_oracles)
-    assert problem.f_oracle.clean_value(x) == pytest.approx(val)  # zero noise
+    assert problem.f_oracle.clean_values(x) == pytest.approx([val])  # zero noise
 
 
 def test_lift_estimate_costs_two_stacked_calls():
@@ -238,7 +241,7 @@ def test_lift_subgradient_stacks_blocks_over_m():
 
 def test_lift_whole_space_scales_bound_hint():
     lap = build_laplacian(Graph.chain(2))
-    oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0) for _ in range(2)]
+    oracles = zero_oracles(2)
     net = NetworkProblem(lap, 2, oracles, R=1.0)
     per_node = make_setup(NormPair.euclidean(), FeasibleSet.whole_space(2, bound_hint=3.0),
                           "half_sq_euclid")
@@ -250,7 +253,7 @@ def test_lift_whole_space_scales_bound_hint():
 
 def test_lift_rejects_unsupported_per_node_sets():
     lap = build_laplacian(Graph.chain(2))
-    oracles = [NoisyZeroOrderOracle(lambda x: 0.0, M=1.0, s=1.0) for _ in range(2)]
+    oracles = zero_oracles(2)
     net = NetworkProblem(lap, 2, oracles, R=1.0)
     simplex_setup = make_setup(NormPair.l1(2), FeasibleSet.simplex(2), "entropy")
     with pytest.raises(ValueError):

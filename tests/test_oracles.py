@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliding_opt.geometry import NormPair
 from sliding_opt.oracles import (NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator,
                                  default_p_star, sample_sphere)
+from sliding_opt.problems import make_strongly_convex_instance, wire_composite
 
 
 def make_oracle(f, M=1.0, s=1.0, **kw):
@@ -55,27 +58,28 @@ def test_sample_sphere_rejects_bad_dimension():
 def test_noise_magnitudes_respect_delta():
     rng = np.random.default_rng(5)
     uni = NoiseModel.uniform(0.25, rng)
-    x = np.zeros(3)
-    assert all(abs(uni.sample(x)) <= 0.25 for _ in range(500))
+    X = np.zeros((500, 3))
+    assert (np.abs(uni.samples(X)) <= 0.25).all()
     sine = NoiseModel.adversarial_sine(0.1, omega=np.array([1.0, 2.0, 3.0]))
-    for _ in range(100):
-        assert abs(sine.sample(rng.standard_normal(3))) <= 0.1 + 1e-15
-    assert NoiseModel.zero().sample(x) == 0.0
+    assert (np.abs(sine.samples(rng.standard_normal((100, 3)))) <= 0.1 + 1e-15).all()
+    assert NoiseModel.zero().samples(X) == 0.0
 
 
 def test_uniform_noise_equals_numpy_uniform_draws():
     for Delta in (1e-3, 0.7):
         noise = NoiseModel.uniform(Delta, np.random.default_rng(31))
         ref = np.random.default_rng(31)
-        x = np.zeros(2)
-        for _ in range(10 ** 5):
-            assert noise.sample(x) == float(ref.uniform(-Delta, Delta))
+        for k in range(1, 5):
+            for _ in range(10 ** 4):
+                drawn = noise.samples(np.zeros((k, 2))).tolist()
+                assert drawn == [float(ref.uniform(-Delta, Delta)) for _ in range(k)]
 
 
 def test_sine_noise_is_deterministic_in_x():
     sine = NoiseModel.adversarial_sine(0.3, omega=np.array([2.0, -1.0]))
-    x = np.array([0.4, 1.1])
-    assert sine.sample(x) == sine.sample(x)
+    X = np.array([[0.4, 1.1], [0.4, 1.1]])
+    first, again = sine.samples(X)
+    assert first == again and first.tobytes() == sine.samples(X[:1]).tobytes()
 
 
 def test_noise_build_is_zero_for_zero_kind_or_zero_delta():
@@ -89,30 +93,76 @@ def test_noise_build_is_zero_for_zero_kind_or_zero_delta():
     assert NoiseModel.build("adversarial_sine", 0.5, omega, rng).omega.tolist() == [1.0, 2.0]
 
 
+def test_noise_build_rejects_an_unknown_kind():
+    omega, rng = np.array([1.0, 2.0]), np.random.default_rng(0)
+    for Delta in (0.0, 0.5):
+        with pytest.raises(ValueError, match="'unifrom'"):
+            NoiseModel.build("unifrom", Delta, omega, rng)
+    inst, feasible = make_strongly_convex_instance(2, 0)
+    with pytest.raises(ValueError, match="'gaussian'"):
+        wire_composite(inst, feasible, Delta=1e-3, noise_kind="gaussian")
+
+
 # -- oracle ------------------------------------------------------------------
 
 def test_oracle_counts_every_evaluation_and_clean_value_skips():
-    oracle = make_oracle(lambda x: float(np.sum(x)))
-    x = np.ones(3)
+    oracle = make_oracle(lambda X: np.sum(X, axis=1))
+    calls = 0
     for k in range(1, 6):
-        oracle.evaluate(x)
-        assert oracle.counters.zo_calls == k
-    oracle.clean_value(x)
-    assert oracle.counters.zo_calls == 5
+        assert oracle.evaluate(np.ones((k, 3))).tolist() == [3.0] * k
+        calls += k
+        assert oracle.counters.zo_calls == calls
+    assert oracle.evaluate(np.ones(3)).tolist() == [3.0]   # a point is a stack of one
+    assert oracle.clean_values(np.ones((4, 3))).tolist() == [3.0] * 4
+    assert oracle.counters.zo_calls == calls + 1
 
 
 def test_oracle_without_noise_adds_zero():
     # f + 0.0 turns a -0.0 value into 0.0, as adding a zero noise sample does
-    value = make_oracle(lambda x: -0.0).evaluate(np.zeros(2))
+    value, = make_oracle(lambda X: np.full(len(X), -0.0)).evaluate(np.zeros(2))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_oracle_noise_stays_within_delta():
     rng = np.random.default_rng(17)
-    oracle = make_oracle(lambda x: float(x[0] ** 2), noise=NoiseModel.uniform(1e-2, rng))
-    for _ in range(300):
-        x = rng.standard_normal(1)
-        assert abs(oracle.evaluate(x) - float(x[0] ** 2)) <= 1e-2
+    oracle = make_oracle(lambda X: X[:, 0] ** 2, noise=NoiseModel.uniform(1e-2, rng))
+    X = rng.standard_normal((300, 1))
+    assert (np.abs(oracle.evaluate(X) - X[:, 0] ** 2) <= 1e-2).all()
+
+
+def _serial_value(f_row, noise, ref_rng, x):
+    """One point's value as a per-point oracle computes it: f + 0.0 for zero
+    noise, one random() draw for uniform noise, the sine of omega @ x."""
+    val = float(f_row(x))
+    if noise.kind == "zero":
+        return val + 0.0
+    if noise.kind == "uniform":
+        return val + (-noise.Delta + 2.0 * noise.Delta * ref_rng.random())
+    t = float(noise.omega @ x) / max(noise.Delta, 1e-30)
+    return val + noise.Delta * float(np.sin(t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("zero", "uniform", "adversarial_sine")),
+       n=st.integers(1, 30), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       Delta=st.sampled_from((1e-8, 1e-3, 0.7)), calls=st.integers(1, 4))
+def test_stacked_evaluate_equals_the_serial_per_point_values(kind, n, k, seed, Delta, calls):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n)
+    omega = np.arange(1, n + 1, dtype=float)
+    noise = NoiseModel.build(kind, Delta, omega, np.random.default_rng([seed, 1]))
+    ref_rng = np.random.default_rng([seed, 1])
+    oracle = make_oracle(lambda X: np.add.reduce(np.abs(X - c), axis=-1), noise=noise)
+    for _ in range(calls):
+        X = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4)
+        got = oracle.evaluate(X)
+        want = [_serial_value(lambda x: np.add.reduce(np.abs(x - c)), noise, ref_rng, x)
+                for x in X]
+        assert got.tobytes() == np.array(want).tobytes()
+    assert oracle.counters.zo_calls == calls * k
+    if kind == "uniform":
+        # the stream is left where calls * k per-point draws leave it
+        assert noise.rng.random() == ref_rng.random()
 
 
 def test_oracle_validates_M_and_s():
@@ -145,7 +195,7 @@ def test_estimator_requires_radius_inside_neighborhood():
 
 
 def test_estimate_consumes_two_calls():
-    oracle = make_oracle(lambda x: float(np.sum(x)))
+    oracle = make_oracle(lambda X: np.sum(X, axis=1))
     est = SmoothingEstimator(oracle, r=0.1, n=4, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(0))
     for k in range(1, 6):
@@ -155,7 +205,7 @@ def test_estimate_consumes_two_calls():
 
 def test_estimator_is_deterministic_given_seed():
     def build():
-        oracle = make_oracle(lambda x: float(np.sum(x ** 2)))
+        oracle = make_oracle(lambda X: np.sum(X ** 2, axis=1))
         return SmoothingEstimator(oracle, r=0.05, n=6, norms=NormPair.euclidean(),
                                   rng=np.random.default_rng(314))
     a = build()
@@ -176,12 +226,9 @@ class _RecordingOracle:
     def __init__(self):
         self.queries = []
 
-    def evaluate(self, x):
-        self.queries.append(np.array(x))
-        return float(x[0])
-
-    def clean_value(self, x):
-        return float(x[0])
+    def evaluate(self, X):
+        self.queries.extend(np.array(X))
+        return X[:, 0]
 
 
 class _ZeroFirstRow:
@@ -248,7 +295,7 @@ def test_estimator_mean_recovers_linear_gradient():
     # E[(n/2r)(f(x+re) - f(x-re)) e] = c for linear f, any r
     n = 8
     c = np.array([0.9, -1.4, 0.3, 0.0, 2.0, -0.7, 1.1, 0.5])
-    oracle = make_oracle(lambda x: float(c @ x), M=float(np.linalg.norm(c)))
+    oracle = make_oracle(lambda X: X @ c, M=float(np.linalg.norm(c)))
     est = SmoothingEstimator(oracle, r=0.1, n=n, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(42))
     samples = 10 ** 5
@@ -271,7 +318,7 @@ def test_estimator_second_moment_bound_linear_objective():
     c = rng.standard_normal(n)
     M = float(np.linalg.norm(c))
     Delta, r = 1e-3, 0.05
-    oracle = make_oracle(lambda x: float(c @ x), M=M,
+    oracle = make_oracle(lambda X: X @ c, M=M,
                          noise=NoiseModel.uniform(Delta, np.random.default_rng(9)))
     est = SmoothingEstimator(oracle, r=r, n=n, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(10))
@@ -288,21 +335,21 @@ def test_estimator_second_moment_bound_linear_objective():
 
 def test_smoothed_value_tracks_lipschitz_function_within_r():
     n = 5
-    oracle = make_oracle(lambda x: float(np.linalg.norm(x)), M=1.0)
+    oracle = make_oracle(lambda X: np.linalg.norm(X, axis=1), M=1.0)
     est = SmoothingEstimator(oracle, r=0.1, n=n, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(12))
     rng = np.random.default_rng(13)
     for _ in range(5):
         x = rng.standard_normal(n)
         samples = 2000
-        vals = np.array([oracle.clean_value(x + est.r * sample_sphere(n, est.rng))
-                         for _ in range(samples)])
+        E = np.array([sample_sphere(n, est.rng) for _ in range(samples)])
+        vals = oracle.clean_values(x + est.r * E)
         stderr = vals.std(ddof=1) / math.sqrt(samples)
         assert abs(vals.mean() - np.linalg.norm(x)) <= est.r * 1.0 + 3 * stderr
 
 
 def test_estimator_raises_on_non_finite_values():
-    oracle = make_oracle(lambda x: float("nan"))
+    oracle = make_oracle(lambda X: np.full(len(X), np.nan))
     est = SmoothingEstimator(oracle, r=0.1, n=2, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(0))
     with pytest.raises(RuntimeError):

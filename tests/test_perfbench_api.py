@@ -1,7 +1,9 @@
 """Every use the benchmark makes of the package still resolves.
 
 An ast scan of perfbench/*.py, which tier-1 never imports on the paths that
-touch most of the API (the `--trace 1` micro layers). It flags:
+touch most of the API (the `--trace 1` micro layers), and one run of the
+micro numbers, whose attribute uses on runtime objects the scan cannot see.
+The scan flags:
 
 - a name imported from `sliding_opt` that the package no longer has;
 - an attribute read on such a name that is gone, e.g. `NormPair.l1`;
@@ -13,6 +15,7 @@ touch most of the API (the `--trace 1` micro layers). It flags:
 import ast
 import importlib
 import inspect
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +24,8 @@ import pytest
 
 from sliding_opt import RunConfig
 
-BENCH_FILES = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_FILES = sorted(BENCH_DIR.glob("*.py"))
 CONFIG_KEY = re.compile(r"config\.(\w+)")
 
 
@@ -105,3 +109,14 @@ def test_benchmark_files_are_found():
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
 def test_benchmark_use_of_the_package_resolves(path):
     assert unresolved(path.read_text()) == []
+
+
+def test_micro_numbers_run_on_the_package(monkeypatch):
+    # e.g. problem.f_oracle.evaluate(x): f_oracle exists only at run time
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    micro = importlib.import_module("micro")
+    names = ("network.lifted_evaluate_us.m20n10", "network.apply_W_us",
+             "baselines.step_us.gd", "baselines.step_us.zogd")
+    us = micro.measure(names)
+    assert sorted(us) == sorted(names)
+    assert all(math.isfinite(v) and v > 0 for v in us.values()), us

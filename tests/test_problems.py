@@ -29,7 +29,7 @@ def test_anchor_law_moments():
 def test_node_values_and_subgradients():
     inst = GeometricMedianInstance(2, 1, np.array([[0.0], [2.0]]))
     assert inst.objective(np.array([1.0])) == pytest.approx(1.0)
-    assert inst.node_value(1, np.array([5.0])) == pytest.approx(3.0)
+    assert inst.node_values(np.array([[0.0], [5.0]])) == pytest.approx([0.0, 3.0])
     g = inst.node_subgrad(0, np.array([3.0]))
     assert g == pytest.approx([1.0])
     assert inst.node_subgrad(0, np.array([0.0])) == pytest.approx([0.0])
@@ -59,9 +59,10 @@ def test_node_oracles_share_lipschitz_and_noise():
     noise = [NoiseModel.zero(), NoiseModel.uniform(0.5, np.random.default_rng(0))]
     oracles = inst.make_node_oracles(s=0.1, noise_models=noise)
     assert [o.M for o in oracles] == [1.0, 1.0]
-    assert oracles[0].evaluate(np.array([1.0])) == pytest.approx(1.0)
-    noisy = oracles[1].evaluate(np.array([1.0]))
-    assert abs(noisy - 1.0) <= 0.5 and noisy != 1.0
+    assert oracles[0].evaluate(np.array([[1.0], [3.0]])) == pytest.approx([1.0, 3.0])
+    noisy = oracles[1].evaluate(np.array([[1.0], [1.0]]))
+    assert (np.abs(noisy - 1.0) <= 0.5).all() and (noisy != 1.0).all()
+    assert noisy[0] != noisy[1]   # one draw per row
 
 
 # -- logistic regression -----------------------------------------------------
@@ -304,7 +305,7 @@ def test_prox_grad_reference_reaches_fixpoint_on_worstcase():
     fix = np.sign(pulled) * np.maximum(np.abs(pulled) - step * inst.l1, 0.0)
     assert np.abs(fix - x).max() <= 1e-9
     assert out["value"] <= inst.g_value(inst.smooth_minimizer()) \
-        + inst.f_value(inst.smooth_minimizer()) + 1e-12
+        + inst.f_values(inst.smooth_minimizer()) + 1e-12
 
 
 def test_prox_grad_reference_validates_L():

@@ -18,7 +18,7 @@ def smooth_only_problem(g_value, g_grad, feasible, *, L, r=1e-3, reference=None,
     """Composite problem with f identically zero (estimator returns exact zeros)."""
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
-    oracle = NoisyZeroOrderOracle(lambda x: 0.0, M=0.0, s=2 * r)
+    oracle = NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=0.0, s=2 * r)
     est = SmoothingEstimator(oracle, r=r, n=feasible.n, norms=norms,
                              rng=np.random.default_rng(seed))
     return CompositeProblem(setup, g_value, g_grad, est, psi0_reference=reference,
@@ -124,7 +124,7 @@ class _ScriptedEstimator:
 
     def __init__(self, ghats):
         self.n = ghats.shape[1]
-        self.oracle = NoisyZeroOrderOracle(lambda x: 0.0, M=0.0, s=1.0)
+        self.oracle = NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=0.0, s=1.0)
         self._ghats = iter(ghats)
         self.at = []
 
@@ -309,9 +309,9 @@ def test_zosa_aborts_on_non_finite_objective():
     norms = NormPair.euclidean()
     setup = make_setup(norms, feasible, "half_sq_euclid")
 
-    def bad_f(x):
+    def bad_f(X):
         # finite at the start so the step-0 checkpoint passes
-        return float("nan") if np.linalg.norm(x) > 1e-12 else 0.0
+        return np.where(np.linalg.norm(X, axis=1) > 1e-12, np.nan, 0.0)
 
     oracle = NoisyZeroOrderOracle(bad_f, M=1.0, s=1.0)
     est = SmoothingEstimator(oracle, r=0.1, n=2, norms=norms,
@@ -400,7 +400,7 @@ def test_theoretical_bound_includes_smoothing_and_noise_terms():
     norms = NormPair.euclidean()
     setup = make_setup(norms, FeasibleSet.ball2(np.zeros(4), 1.0), "half_sq_euclid")
     noise = NoiseModel.uniform(1e-3, np.random.default_rng(1))
-    oracle = NoisyZeroOrderOracle(lambda x: 0.0, M=2.0, s=1.0, noise=noise)
+    oracle = NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=2.0, s=1.0, noise=noise)
     est = SmoothingEstimator(oracle, r=0.05, n=4, norms=norms,
                              rng=np.random.default_rng(0))
     sched = build_schedule(L=1.0, M_est=2.0, n=4, C1=1.0, p_star=1.0,
