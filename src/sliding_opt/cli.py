@@ -33,8 +33,6 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config, args.overrides)
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    if not methods:
-        raise ConfigError("methods: expected a comma list of methods")
     seeds = parse_seed_spec(args.seeds)
     _, text = compare(cfg, methods, seeds, metric=args.metric, out_path=args.out)
     if args.out:

@@ -2,8 +2,9 @@
 bundled objectives, the run/replay entry points, and multi-seed comparisons.
 
 A run is described by a flat `key = value` config file plus command-line
-overrides. Every config field is echoed into the trace metadata, so a saved
-trace file is enough to re-execute the run without the original config.
+overrides. A run accepts only the settings its experiment and method read
+(`read_fields`). Every config field is echoed into the trace metadata, so a
+saved trace file is enough to re-execute the run without the original config.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ class ConfigError(ValueError):
     """A run configuration problem; messages start with the offending field."""
 
 
-EXPERIMENTS = ("geom_median", "logreg", "nesterov", "synthetic")
-METHODS = ("zosa", "mzosa", "gd", "zogd")
 TOPOLOGIES = ("star", "complete", "chain", "cycle", "custom")
 NOISE_KINDS = ("zero", "uniform", "adversarial_sine")
 STEP_RULES = ("constant", "inv_sqrt")
@@ -107,7 +106,6 @@ class RunConfig:
     R: float | None = None
     L: float | None = None
     mu: float = 0.0
-    M_est: float | None = None
     c_const: float = 1.0
     C_const: float = 1.0
     T_cap: int = 10 ** 6
@@ -122,7 +120,40 @@ class RunConfig:
     averaging: str = "last"
     with_bound: bool = False
     reference: str = "auto"
-    reference_max_iter: int = 10 ** 6
+
+
+# A run reads a setting when moving it off its default changes the trace body
+# or a derived.* value. out_path and max_wall_ms are read but change neither;
+# seed names the replicate, and gd on nesterov and logreg draws nothing from it.
+READ_BY_EVERY_RUN = frozenset({"experiment", "method", "seed", "checkpoints", "eps", "r",
+                               "reference", "out_path", "max_wall_ms"})
+EXPERIMENT_READS = {
+    "geom_median": frozenset({"n", "m", "topology", "edge_file", "R", "bound_hint",
+                              "max_comm_rounds"}),
+    "logreg": frozenset({"dataset", "L", "l1", "bound_hint"}),
+    "nesterov": frozenset({"n", "L", "l1", "bound_hint"}),
+    "synthetic": frozenset({"n", "L", "mu", "l1", "box_half"}),
+}
+_ZERO_ORDER = {"max_zo_calls", "noise_kind", "Delta"}
+_SLIDING = {*_ZERO_ORDER, "T_cap", "c_const", "C_const", "with_bound"}
+_BASELINE = {"N", "step_rule", "eta0", "eta_scale", "averaging"}
+METHOD_READS = {"zosa": frozenset({"N", *_SLIDING}),
+                "mzosa": frozenset({"phases", "N0", "rho0", "mu", *_SLIDING}),
+                "gd": frozenset(_BASELINE), "zogd": frozenset({*_ZERO_ORDER, *_BASELINE})}
+EXPERIMENTS = tuple(EXPERIMENT_READS)
+METHODS = tuple(METHOD_READS)
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+
+def read_fields(experiment: str, method: str) -> frozenset:
+    """The RunConfig fields a run of `method` on `experiment` reads."""
+    return READ_BY_EVERY_RUN | EXPERIMENT_READS[experiment] | METHOD_READS[method]
+
+
+def _reject_unread(cfg: RunConfig, reads: frozenset, label: str):
+    for name, default in _DEFAULTS.items():
+        _require(name in reads or getattr(cfg, name) == default,
+                 f"{name}: not read by experiment = {cfg.experiment} with {label}; unset it")
 
 
 def _field_types() -> dict:
@@ -215,10 +246,8 @@ def from_mapping(mapping: dict) -> RunConfig:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    """Parse a config file, fold in overrides, and validate."""
-    cfg = from_mapping(apply_overrides(parse_config_file(path), overrides))
-    validate(cfg)
-    return cfg
+    """Parse a config file and fold in overrides; `run` and `compare` validate."""
+    return from_mapping(apply_overrides(parse_config_file(path), overrides))
 
 
 def _require(condition: bool, message: str):
@@ -229,15 +258,22 @@ def _require(condition: bool, message: str):
 def _check_topology(topology: str, edge_file: str | None):
     _require(topology in TOPOLOGIES,
              f"topology: must be one of {', '.join(TOPOLOGIES)}, got '{topology}'")
-    if topology == "custom":
-        _require(edge_file is not None, "edge_file: required for topology = custom")
+    _require((topology == "custom") == (edge_file is not None),
+             "edge_file: required for topology = custom, and read only there")
+
+
+_CHOICES = {"experiment": EXPERIMENTS, "method": METHODS, "noise_kind": NOISE_KINDS,
+            "step_rule": STEP_RULES, "averaging": AVERAGING_MODES, "reference": REFERENCE_MODES}
+
+
+def _check_choices(cfg: RunConfig):
+    for name, choices in _CHOICES.items():
+        value = getattr(cfg, name)
+        _require(value in choices, f"{name}: must be one of {', '.join(choices)}, got '{value}'")
 
 
 def validate(cfg: RunConfig):
-    _require(cfg.experiment in EXPERIMENTS,
-             f"experiment: must be one of {', '.join(EXPERIMENTS)}, got '{cfg.experiment}'")
-    _require(cfg.method in METHODS,
-             f"method: must be one of {', '.join(METHODS)}, got '{cfg.method}'")
+    _check_choices(cfg)
     for name, (kind, none_ok) in _FIELD_TYPES.items():
         value = getattr(cfg, name)
         if value is None and none_ok:
@@ -246,61 +282,26 @@ def validate(cfg: RunConfig):
                  f"{name}: expected {kind.__name__}, got {value!r}")
         _require(kind is not float or math.isfinite(value),
                  f"{name}: must be finite, got {value!r}")
-    _require(cfg.seed >= 0, "seed: must be >= 0")
-    _require(cfg.n >= 0, "n: must be >= 0 (0 picks the experiment default)")
-    _require(cfg.eps > 0, "eps: must be > 0")
-    _require(cfg.Delta >= 0, "Delta: must be >= 0")
-    _require(cfg.checkpoints >= 0, "checkpoints: must be >= 0")
-    _require(cfg.phases >= 0, "phases: must be >= 0")
-    _require(cfg.T_cap >= 1, "T_cap: must be >= 1")
-    _require(cfg.box_half > 0, "box_half: must be > 0")
-    _require(cfg.c_const > 0, "c_const: must be > 0")
-    _require(cfg.C_const > 0, "C_const: must be > 0")
-    _require(cfg.eta_scale > 0, "eta_scale: must be > 0")
-    _require(cfg.mu >= 0, "mu: must be >= 0")
-    _require(cfg.reference_max_iter >= 1, "reference_max_iter: must be >= 1")
-    _require(cfg.noise_kind in NOISE_KINDS,
-             f"noise_kind: must be one of {', '.join(NOISE_KINDS)}, got '{cfg.noise_kind}'")
-    _require(cfg.step_rule in STEP_RULES,
-             f"step_rule: must be one of {', '.join(STEP_RULES)}, got '{cfg.step_rule}'")
-    _require(cfg.averaging in AVERAGING_MODES,
-             f"averaging: must be one of {', '.join(AVERAGING_MODES)}, got '{cfg.averaging}'")
-    _require(cfg.reference in REFERENCE_MODES,
-             f"reference: must be one of {', '.join(REFERENCE_MODES)}, got '{cfg.reference}'")
-
-    for name, lower in (("N", 1), ("N0", 1), ("max_zo_calls", 1), ("max_comm_rounds", 1),
-                        ("m", 2)):
+    _reject_unread(cfg, read_fields(cfg.experiment, cfg.method), f"method = {cfg.method}")
+    # n = 0 picks the experiment's default dimension
+    for name, lower in (("seed", 0), ("n", 0), ("Delta", 0), ("checkpoints", 0), ("mu", 0),
+                        ("T_cap", 1), ("N", 1), ("N0", 1), ("max_zo_calls", 1),
+                        ("max_comm_rounds", 1), ("m", 2)):
         value = getattr(cfg, name)
         _require(value is None or value >= lower, f"{name}: must be >= {lower}")
-    for name in ("max_wall_ms", "r", "R", "L", "rho0", "l1", "bound_hint", "M_est", "eta0"):
+    for name in ("eps", "box_half", "c_const", "C_const", "eta_scale", "max_wall_ms", "r", "R",
+                 "L", "rho0", "l1", "bound_hint", "eta0"):
         value = getattr(cfg, name)
         _require(value is None or value > 0, f"{name}: must be > 0")
-
     if cfg.experiment == "geom_median":
         _check_topology(cfg.topology, cfg.edge_file)
-        _require(cfg.L is None, "L: the decentralized experiment derives L = 2 R lambda_max")
-        _require(cfg.l1 is None, "l1: the decentralized experiment has no l1 term")
-    else:
-        _require(cfg.max_comm_rounds is None,
-                 "max_comm_rounds: only the decentralized experiment counts communication")
-        _require(cfg.R is None,
-                 "R: only the decentralized experiment uses the penalty coefficient")
-        _require(cfg.edge_file is None, "edge_file: only used with topology = custom")
-    if cfg.experiment == "synthetic":
-        _require(cfg.bound_hint is None, "bound_hint: the synthetic experiment uses its box")
-
-    if cfg.method == "gd":
-        _require(cfg.max_zo_calls is None,
-                 "max_zo_calls: the first-order baseline makes no zero-order queries")
-    if cfg.method in ("gd", "zogd"):
-        _require(not cfg.with_bound, "with_bound: bound reporting applies to the sliding methods")
 
     if cfg.method == "mzosa":
-        _require(cfg.N is None,
-                 "N: the restarted method runs phases * N0 outer iterations; unset N")
         _require(cfg.rho0 is not None, "rho0: required for method = mzosa")
         _require(cfg.mu > 0, "mu: must be > 0 for method = mzosa")
         _require(cfg.phases >= 1, "phases: must be >= 1 for method = mzosa")
+        _require(0 < math.ldexp(cfg.rho0 / cfg.mu, -cfg.phases) < math.inf,
+                 "phases: rho0 / (mu * 2^phases) must be a positive finite number")
     elif cfg.N is None:
         _require(cfg.max_wall_ms is None, "max_wall_ms: a wall budget only halts a run; set N")
         _require((cfg.max_zo_calls is None) != (cfg.max_comm_rounds is None),
@@ -351,8 +352,7 @@ def _build_smooth_lasso(cfg: RunConfig, inst) -> _Build:
     bound_hint = cfg.bound_hint if cfg.bound_hint is not None else 2.0 * math.sqrt(inst.n)
     reference = {}
     if cfg.reference == "auto":
-        ref = prox_grad_reference(inst.g_value, inst.g_grad, inst.l1, inst.L,
-                                  np.zeros(inst.n), max_iter=cfg.reference_max_iter)
+        ref = prox_grad_reference(inst.g_value, inst.g_grad, inst.l1, inst.L, np.zeros(inst.n))
         reference = {"kind": "prox_grad", "value": ref["value"],
                      "iterations": ref["iterations"], "tol": ref["tol"]}
     return _wire_l1(cfg, inst, FeasibleSet.whole_space(inst.n, bound_hint), reference,
@@ -372,8 +372,6 @@ def _build_logreg(cfg: RunConfig) -> _Build:
         raise ConfigError(f"dataset: '{cfg.dataset}' not found (looked at {path}; "
                           f"set SLIDING_OPT_DATA to the dataset directory)")
     inst = read_libsvm(path, l1=l1)
-    if cfg.n and cfg.n != inst.n:
-        raise ConfigError(f"n: dataset has {inst.n} features, config says {cfg.n}")
     inst.L = cfg.L if cfg.L is not None else inst.smoothness()
     build = _build_smooth_lasso(cfg, inst)
     build.derived["dataset_rows"] = inst.m
@@ -530,17 +528,16 @@ def _default_eta0(cfg: RunConfig, b: _Build) -> float:
 def _execute(cfg: RunConfig, b: _Build) -> tuple:
     problem = b.problem
     setup, est = problem.setup, problem.estimator
-    M_est = cfg.M_est if cfg.M_est is not None else problem.f_oracle.M
     budgets = None
     if any(v is not None for v in (cfg.max_zo_calls, cfg.max_comm_rounds, cfg.max_wall_ms)):
         budgets = Budgets(max_zo_calls=cfg.max_zo_calls, max_comm_rounds=cfg.max_comm_rounds,
                           max_wall_ms=cfg.max_wall_ms)
     derived = dict(b.derived)
-    derived.update(dim=est.n, r=est.r, M_est=M_est, p_star=est.p_star, L=problem.L,
+    derived.update(dim=est.n, r=est.r, M_est=problem.f_oracle.M, p_star=est.p_star, L=problem.L,
                    delta_max=b.delta_max)
 
     if cfg.method in ("zosa", "mzosa"):
-        sched_kwargs = dict(L=problem.L, M_est=M_est, n=est.n, C1=setup.norms.C1,
+        sched_kwargs = dict(L=problem.L, M_est=problem.f_oracle.M, n=est.n, C1=setup.norms.C1,
                             p_star=est.p_star, Delta=cfg.Delta, r=est.r, mu=cfg.mu,
                             T_cap=cfg.T_cap, c_const=cfg.c_const, C_const=cfg.C_const)
         restart = None
@@ -688,6 +685,18 @@ def _quantile(values, q: float) -> float:
 _TUNING_GRID = (1.0, 0.1, 10.0)
 
 
+def _for_method(cfg: RunConfig, method: str) -> RunConfig:
+    """cfg run by `method`, validated: the fields that method does not read on
+    cfg's experiment go back to their defaults."""
+    run_cfg = replace(cfg, method=method)
+    _check_choices(run_cfg)
+    reads = read_fields(cfg.experiment, method)
+    run_cfg = replace(run_cfg, **{name: default for name, default in _DEFAULTS.items()
+                                  if name not in reads})
+    validate(run_cfg)
+    return run_cfg
+
+
 def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
             out_path=None) -> tuple:
     """Median and quartiles of a metric per method over shared seeds.
@@ -696,16 +705,23 @@ def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
     is the first recorded cost (comm_rounds on the decentralized experiment,
     zo_calls otherwise) at which the relative gap reaches t, inf if never.
     Baselines without an explicit step size get a one-seed grid search over
-    {0.1, 1, 10} x the default scale; the chosen factor is reported.
-    Returns (rows, csv_text).
+    {0.1, 1, 10} x the default scale; the chosen factor is reported. Each
+    method runs cfg with the settings it does not read at their defaults; a
+    setting that none of the methods reads is rejected. Returns (rows, csv_text).
     """
     metric_kind, target = parse_metric(metric)
+    if not methods:
+        raise ConfigError("methods: at least one method required")
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
     cost_attr = "comm_rounds" if cfg.experiment == "geom_median" else "zo_calls"
+    run_cfgs = {method: _for_method(cfg, method) for method in methods}
+    _reject_unread(cfg, frozenset().union(*(read_fields(cfg.experiment, m) for m in methods)),
+                   f"methods = {','.join(methods)}")
 
     def one(method, seed, scale):
-        run_cfg = replace(cfg, method=method, seed=seed, eta_scale=scale,
+        run_cfg = run_cfgs[method]
+        run_cfg = replace(run_cfg, seed=seed, eta_scale=scale * run_cfg.eta_scale,
                           out_path=None, with_bound=False)
         try:
             return _score(run(run_cfg), metric_kind, target, cost_attr)
@@ -715,16 +731,14 @@ def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
 
     rows = []
     for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"method: must be one of {', '.join(METHODS)}, got '{method}'")
         scale = 1.0
         first_scores = {}
         if method in ("gd", "zogd") and cfg.eta0 is None:
             for s in _TUNING_GRID:
-                first_scores[s] = one(method, seeds[0], s * cfg.eta_scale)
+                first_scores[s] = one(method, seeds[0], s)
             scale = min(_TUNING_GRID, key=lambda s: first_scores[s])
         scores = [first_scores[scale] if (first_scores and seed == seeds[0])
-                  else one(method, seed, scale * cfg.eta_scale)
+                  else one(method, seed, scale)
                   for seed in seeds]
         median, q25, q75 = (_quantile(scores, q) for q in (0.5, 0.25, 0.75))
         rows.append({"method": method,

@@ -252,10 +252,6 @@ class NesterovLassoInstance(L1Term):
         Tx[0] -= 1.0
         return self.L / 4.0 * Tx
 
-    def smooth_minimizer(self) -> np.ndarray:
-        i = np.arange(1, self.n + 1, dtype=float)
-        return 1.0 - i / (self.n + 1.0)
-
 
 # ---------------------------------------------------------------------------
 # synthetic verification instances (separable, closed-form optimum)
@@ -299,10 +295,6 @@ class SeparableLassoInstance(L1Term):
     @property
     def L(self) -> float:
         return float(np.max(self.h))
-
-    @property
-    def mu(self) -> float:
-        return float(np.min(self.h))
 
 
 def make_strongly_convex_instance(n: int, seed: int, *, mu: float = 0.1, L: float = 1.0,

@@ -50,10 +50,9 @@ class SlidingSchedule:
     def inner_steps(self, k: int):
         """(T_k, raw value, capped?) for outer iteration k."""
         raw = self.N * (self.M_tilde ** 2 + self.sigma_sq) * k * k / (self.D_tilde * self.L ** 2)
-        T = max(1, math.ceil(raw))
-        if T > self.T_cap:
+        if raw > self.T_cap:    # exactly when ceil(raw) > T_cap; raw may be inf
             return self.T_cap, raw, True
-        return T, raw, False
+        return max(1, math.ceil(raw)), raw, False
 
 
 def build_schedule(*, L: float, M_est: float, n: int, C1: float, p_star: float,
@@ -161,6 +160,9 @@ class CompositeProblem:
 def _checkpoint_steps(N: int, checkpoints: int):
     if checkpoints <= 0:
         return {N}
+    if checkpoints >= N:
+        # round(N j / checkpoints) then takes every value in 1..N
+        return range(1, N + 1)
     ks = {min(N, max(1, round(N * j / checkpoints))) for j in range(1, checkpoints + 1)}
     ks.add(N)
     return ks
@@ -299,8 +301,10 @@ def zosa_run(problem: CompositeProblem, sched: SlidingSchedule, x0, *,
             raise ValueError("rho0: must be > 0")
         if restart.phases < 0:
             raise ValueError("phases: must be >= 0")
+        if not 0 < math.ldexp(restart.rho0 / sched.mu, -restart.phases) < math.inf:
+            raise ValueError("phases: rho0 / (mu * 2^phases) must be a positive finite number")
         N0 = restart.resolved_N0(sched.L, sched.mu)
-        phases = [(i, replace(sched, D_tilde=restart.rho0 / (sched.mu * 2.0 ** i), N=N0))
+        phases = [(i, replace(sched, D_tilde=math.ldexp(restart.rho0 / sched.mu, -i), N=N0))
                   for i in range(1, restart.phases + 1)]
     rec = _Recorder(problem, x0, budgets, phases[0][0] if phases else 0,
                     with_bound=with_bound)
@@ -361,7 +365,7 @@ def theoretical_bound(sched: SlidingSchedule, setup: ProximalSetup,
     if restart is None:
         k = k_or_phase
         return smooth_term + 12.0 * sched.L * setup.D_XV ** 2 / (k * (k + 1.0)) + noise_term
-    return smooth_term + restart.rho0 / 2.0 ** k_or_phase + 2.0 * noise_term
+    return smooth_term + math.ldexp(restart.rho0, -k_or_phase) + 2.0 * noise_term
 
 
 def suggest_r_delta(eps: float, M: float, n: int, D_X: float, p_star: float) -> dict:

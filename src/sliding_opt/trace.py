@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from collections.abc import MutableSequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 # 17 significant digits round-trips IEEE doubles exactly.
@@ -35,7 +35,7 @@ _COLUMNS = ("step", "fo_calls", "zo_calls", "comm_rounds", "psi0",
 _WIDTH = 5
 
 
-class TraceRows(MutableSequence):
+class TraceRows(Sequence):
     """A trace's rows, packed: the five integer fields of a row (step, the
     three counters, phase) in one array('i'), which becomes an array('q')
     once a value needs more than 32 bits; its five float fields (psi0,
@@ -43,9 +43,10 @@ class TraceRows(MutableSequence):
     and one byte per row whose bits 1, 2, 4 mark gap_vs_reference,
     consensus_sq_norm and bound as None.
 
-    It behaves as a list of TraceRow, slices and list equality included, but
-    reading a row builds a new TraceRow: changing it leaves the trace as it
-    was; assign it back (rows[i] = row) to store the change.
+    It reads as a list of TraceRow, slices and list equality included, and
+    takes `append` and item assignment. Reading a row builds a new TraceRow:
+    changing it leaves the trace as it was; assign it back (rows[i] = row)
+    to store the change.
     """
 
     def __init__(self, rows=()):
@@ -70,11 +71,6 @@ class TraceRows(MutableSequence):
     def append(self, row: TraceRow):
         self._put(len(self), len(self), row)
 
-    def insert(self, i: int, row: TraceRow):
-        n = len(self)
-        i = min(max(i + n if i < 0 else i, 0), n)    # list.insert's clamping
-        self._put(i, i, row)
-
     def __len__(self) -> int:
         return len(self._none)
 
@@ -91,12 +87,6 @@ class TraceRows(MutableSequence):
     def __setitem__(self, i: int, row: TraceRow):
         i = range(len(self))[i]
         self._put(i, i + 1, row)
-
-    def __delitem__(self, i: int):
-        i = range(len(self))[i]
-        del self._ints[_WIDTH * i:_WIDTH * (i + 1)]
-        del self._floats[_WIDTH * i:_WIDTH * (i + 1)]
-        del self._none[i]
 
     def last_counters(self) -> tuple:
         """(fo_calls, zo_calls, comm_rounds) of the last row, without building it."""

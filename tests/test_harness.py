@@ -11,18 +11,21 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sliding_opt
 from sliding_opt import harness
 from sliding_opt.cli import main
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
-from sliding_opt.harness import (ConfigError, RunConfig, _finalize_metadata,
-                                 _largest_N_for_zo, _zosa_zo_cost, apply_overrides, compare,
-                                 config_from_metadata, from_mapping, load_config,
-                                 parse_config_file, parse_metric, parse_seed_spec,
-                                 replay, run, seed_stream, validate)
+from sliding_opt.harness import (EXPERIMENTS, METHODS, ConfigError, RunConfig,
+                                 _finalize_metadata, _largest_N_for_zo, _zosa_zo_cost,
+                                 apply_overrides, compare, config_from_metadata, from_mapping,
+                                 load_config, parse_config_file, parse_metric, parse_seed_spec,
+                                 read_fields, replay, run, seed_stream, validate)
 from sliding_opt.sliding import SolverAbort, build_schedule, theoretical_bound
 from sliding_opt.trace import RunTrace
+from test_golden_bodies import _write_libsvm
 
 
 def write_config(tmp_path, text, name="run.conf"):
@@ -119,6 +122,10 @@ def base_cfg(**kw):
     (dict(experiment="geom_median", L=2.0), "L"),
     (dict(experiment="geom_median", l1=0.1), "l1"),
     (dict(bound_hint=3.0), "bound_hint"),
+    (dict(method="gd", T_cap=5), "T_cap"),
+    (dict(experiment="geom_median", edge_file="g.edges"), "edge_file"),
+    # rho0 / (mu * 2^phases) underflows to 0
+    (dict(method="mzosa", N=None, rho0=10.0, mu=0.5, phases=1100), "phases"),
 ])
 def test_validation_errors_name_the_field(kw, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
@@ -185,6 +192,105 @@ def test_unknown_stream_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the settings each run reads
+
+PAIRS = [(experiment, method) for experiment in EXPERIMENTS for method in METHODS]
+# gd on these experiments draws no random numbers, so its seed changes nothing
+DRAWS_NOTHING = {("nesterov", "gd"), ("logreg", "gd")}
+# a short run of every pair whose inner loops take more than one step; a
+# pair's base is this without the settings the pair does not read
+PAIR_BASE = dict(seed=1, n=3, N=3, checkpoints=2, noise_kind="uniform", Delta=1e-3, r=1e-3,
+                 m=4, R=0.2, phases=1, N0=2, rho0=2.0, mu=0.1, dataset="a.libsvm")
+# values off each setting's default (experiment and method pick the pair);
+# CONTEXT is what a setting needs around it to be read at all
+MOVES = {
+    "seed": [2], "n": [4], "N": [4], "phases": [2], "N0": [3], "max_zo_calls": [2],
+    "max_comm_rounds": [1], "max_wall_ms": [1e9], "checkpoints": [1, 3],
+    "out_path": ["moved.csv"], "eps": [0.1], "r": [1e-2],
+    "noise_kind": ["adversarial_sine"], "Delta": [1e-4], "topology": ["chain"],
+    "m": [5], "edge_file": ["star4.edges"], "R": [1.0], "L": [2.0], "mu": [0.5],
+    "c_const": [2.0], "C_const": [2.0], "T_cap": [1], "rho0": [4.0], "dataset": ["b.libsvm"],
+    "l1": [0.5], "bound_hint": [10.0], "box_half": [1.0], "step_rule": ["constant"],
+    "eta0": [1e-2], "eta_scale": [0.5], "averaging": ["uniform_avg"], "with_bound": [True],
+    "reference": ["none"],
+}
+CONTEXT = {"edge_file": dict(topology="custom", edge_file="chain4.edges")}
+DEFAULTS = RunConfig()
+
+
+def pair_config(experiment, method) -> RunConfig:
+    reads = read_fields(experiment, method)
+    return RunConfig(experiment=experiment, method=method,
+                     **{key: value for key, value in PAIR_BASE.items() if key in reads})
+
+
+def write_pair_data(path):
+    """The two datasets and two edge files the moves name, under path."""
+    _write_libsvm(path / "a.libsvm")
+    _write_libsvm(path / "b.libsvm", seed=12)
+    (path / "chain4.edges").write_text("0 1\n1 2\n2 3\n")
+    (path / "star4.edges").write_text("0 1\n0 2\n0 3\n")
+
+
+def test_moves_cover_every_setting_and_stay_off_the_default():
+    assert set(MOVES) == {f.name for f in fields(RunConfig)} - {"experiment", "method"}
+    assert all(value != getattr(DEFAULTS, name)
+               for name, values in MOVES.items() for value in values)
+
+
+def _config_line(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@pytest.mark.parametrize("experiment, method", PAIRS)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_unread_settings_are_rejected(experiment, method, data, tmp_path_factory, capsys):
+    base = pair_config(experiment, method)
+    validate(base)
+    unread = sorted({f.name for f in fields(RunConfig)} - read_fields(experiment, method))
+    name = data.draw(st.sampled_from(unread))
+    value = data.draw(st.sampled_from(MOVES[name]))
+    message = f"{name}: not read by experiment = {experiment} with method = {method}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        validate(replace(base, **{name: value}))
+
+    path = tmp_path_factory.getbasetemp() / f"{experiment}-{method}.conf"
+    path.write_text("".join(f"{f.name} = {_config_line(getattr(base, f.name))}\n"
+                            for f in fields(RunConfig) if getattr(base, f.name) is not None))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--set", f"{name}={_config_line(value)}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _outcome(cfg) -> tuple:
+    trace = run(cfg)
+    return trace.body_text(), {key: value for key, value in trace.metadata.items()
+                               if key.startswith("derived.")}
+
+
+@pytest.mark.parametrize("experiment, method", PAIRS)
+def test_every_read_setting_changes_the_body_or_a_derived_value(experiment, method, tmp_path,
+                                                                monkeypatch):
+    write_pair_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    base = pair_config(experiment, method)
+    # out_path and max_wall_ms are read but change neither
+    skip = {"experiment", "method", "out_path", "max_wall_ms"}
+    if (experiment, method) in DRAWS_NOTHING:
+        skip.add("seed")
+    base_outcome = _outcome(base)
+    ignored = []
+    for name in sorted(read_fields(experiment, method) - skip):
+        before = replace(base, **CONTEXT.get(name, {}))
+        outcome = _outcome(before) if name in CONTEXT else base_outcome
+        if all(_outcome(replace(before, **{name: value})) == outcome for value in MOVES[name]):
+            ignored.append(name)
+    assert ignored == []
+
+
+# ---------------------------------------------------------------------------
 # runs and metadata
 
 
@@ -204,28 +310,22 @@ def test_config_from_metadata_round_trips():
     assert back == cfg
 
 
-def test_every_config_field_round_trips_through_metadata():
-    geom = RunConfig(
-        experiment="geom_median", method="zosa", seed=3, n=4, N=5, phases=2, N0=7,
-        max_zo_calls=1000, max_comm_rounds=50, max_wall_ms=1234.5,
-        checkpoints=9, out_path="out.csv", eps=0.01, r=0.002, noise_kind="uniform",
-        Delta=1e-4, topology="custom", m=5, edge_file="edges.txt", R=10.0, mu=0.3,
-        M_est=1.5, c_const=2.0, C_const=3.0, T_cap=500, rho0=4.0, dataset="other.svm",
-        bound_hint=3.0, box_half=1.5, step_rule="constant", eta0=0.2,
-        eta_scale=0.5, averaging="uniform_avg", with_bound=True, reference="none",
-        reference_max_iter=99)
-    # L and l1 are rejected on geom_median; R, edge_file and comm budgets off it
-    lasso = replace(geom, experiment="nesterov", L=2.5, l1=0.01, R=None, edge_file=None,
-                    max_comm_rounds=None)
-    assert all(getattr(geom, f.name) != f.default or getattr(lasso, f.name) != f.default
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_config_field_round_trips_through_metadata(data):
+    experiment, method = data.draw(st.sampled_from(PAIRS))
+    cfg = pair_config(experiment, method)
+    for name in (f.name for f in fields(RunConfig)):
+        if name in read_fields(experiment, method) and name in MOVES and data.draw(st.booleans()):
+            cfg = replace(cfg, **{**CONTEXT.get(name, {}),
+                                  name: data.draw(st.sampled_from(MOVES[name]))})
+    validate(cfg)
+    trace = RunTrace()
+    _finalize_metadata(trace, cfg, {}, {})
+    back = config_from_metadata(trace.metadata)
+    assert back == cfg
+    assert all(type(getattr(back, f.name)) is type(getattr(cfg, f.name))
                for f in fields(RunConfig))
-    for cfg in (geom, lasso):
-        trace = RunTrace()
-        _finalize_metadata(trace, cfg, {}, {})
-        back = config_from_metadata(trace.metadata)
-        assert back == cfg
-        assert all(type(getattr(back, f.name)) is type(getattr(cfg, f.name))
-                   for f in fields(RunConfig))
 
 
 def test_replay_reproduces_trace_body_exactly():
@@ -363,7 +463,8 @@ def test_wall_budget_runs_to_horizon_or_halts():
 def test_comm_budget_converts_per_method():
     for method, steps in (("zosa", 12), ("gd", 12), ("zogd", 6)):
         cfg = RunConfig(experiment="geom_median", method=method, seed=1, n=3, m=4,
-                        topology="star", max_comm_rounds=12, checkpoints=3, T_cap=5)
+                        topology="star", max_comm_rounds=12, checkpoints=3,
+                        **({"T_cap": 5} if method == "zosa" else {}))
         trace = run(cfg)
         assert int(trace.metadata["derived.N"]) == steps
         assert trace.final().comm_rounds <= 12 + 2
@@ -572,6 +673,35 @@ def test_cli_bench_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("method,topology,metric,")
     assert "\nzosa,-," in out
+
+
+def test_cli_bench_runs_each_method_with_the_settings_it_reads(tmp_path, capsys):
+    path = write_config(tmp_path, BASE + "T_cap = 5\nstep_rule = constant\n")
+    # the config's own method is a placeholder: bench runs each listed method
+    code = main(["bench", "--config", path, "--set", "N=6", "--set", "method=mzosa",
+                 "--methods", "zosa,gd", "--seeds", "1..2"])
+    assert code == 0
+    cfg = load_config(path, ["N=6"])
+    _, zosa = compare(replace(cfg, step_rule="inv_sqrt"), ["zosa"], [1, 2])
+    _, gd = compare(replace(cfg, T_cap=10 ** 6), ["gd"], [1, 2])
+    assert capsys.readouterr().out.splitlines() == zosa.splitlines() + gd.splitlines()[1:]
+
+
+def test_cli_bench_rejects_a_setting_no_method_reads(tmp_path, capsys):
+    path = write_config(tmp_path, BASE)
+    code = main(["bench", "--config", path, "--set", "topology=chain",
+                 "--methods", "zosa,gd", "--seeds", "1"])
+    assert code == 2
+    assert ("topology: not read by experiment = synthetic with methods = zosa,gd"
+            in capsys.readouterr().err)
+
+
+def test_cli_phases_that_underflow_the_restart_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, BASE)
+    code = main(["run", "--config", path, "--set", "method=mzosa", "--set", "N=none",
+                 "--set", "mu=0.1", "--set", "rho0=2.0", "--set", "phases=1100"])
+    assert code == 2
+    assert "phases: rho0 / (mu * 2^phases)" in capsys.readouterr().err
 
 
 def test_cli_bench_rejects_a_non_finite_target(tmp_path, capsys):

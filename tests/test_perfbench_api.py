@@ -10,6 +10,11 @@ The scan flags:
 - a keyword of a call to such a name that its signature does not take,
   e.g. a `RunConfig(...)` field that was removed;
 - a `"config.<field>"` metadata key whose field is not a RunConfig field.
+
+A second scan collects the `config.*` and `derived.*` keys that
+perfbench/checks.py reads from each sliding run's trace, and tiny `zosa` and
+`mzosa` runs must carry them: a trimmed echo or a removed setting would
+otherwise surface only as a KeyError inside the benchmark.
 """
 
 import ast
@@ -22,11 +27,12 @@ from pathlib import Path
 
 import pytest
 
-from sliding_opt import RunConfig
+from sliding_opt import RunConfig, run
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH_FILES = sorted(BENCH_DIR.glob("*.py"))
 CONFIG_KEY = re.compile(r"config\.(\w+)")
+METADATA_KEY = re.compile(r"(config|derived)\.\w+")
 
 
 def _package_names(tree) -> tuple:
@@ -120,3 +126,29 @@ def test_micro_numbers_run_on_the_package(monkeypatch):
     us = micro.measure(names)
     assert sorted(us) == sorted(names)
     assert all(math.isfinite(v) and v > 0 for v in us.values()), us
+
+
+def metadata_keys(source: str) -> tuple:
+    """(every config./derived. key written out in source, those inside _schedule)."""
+    tree = ast.parse(source)
+
+    def keys(root) -> set:
+        return {node.value for node in ast.walk(root) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and METADATA_KEY.fullmatch(node.value)}
+
+    schedule = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_schedule")
+    return keys(tree), keys(schedule)
+
+
+@pytest.mark.parametrize("experiment", ["synthetic", "nesterov", "geom_median"])
+def test_sliding_traces_carry_the_metadata_perfbench_checks_read(experiment):
+    every, schedule = metadata_keys((BENCH_DIR / "checks.py").read_text())
+    assert {"config.mu", "derived.N", "derived.N0"} <= every and "config.T_cap" in schedule
+    shape = dict(experiment=experiment, seed=1, n=3, checkpoints=1)
+    if experiment == "geom_median":
+        shape.update(m=3, R=0.2)
+    zosa = run(RunConfig(method="zosa", N=2, **shape)).metadata
+    mzosa = run(RunConfig(method="mzosa", mu=0.1, rho0=2.0, phases=1, N0=2, **shape)).metadata
+    assert schedule - (zosa.keys() & mzosa.keys()) == set()
+    assert every - (zosa.keys() | mzosa.keys()) == set()

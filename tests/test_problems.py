@@ -221,9 +221,15 @@ def test_worstcase_hessian_spectrum_stays_below_L():
     assert lam_max == pytest.approx(expected, abs=1e-9)
 
 
+def smooth_minimizer(inst: NesterovLassoInstance) -> np.ndarray:
+    """The minimizer of the worst-case g alone: x_i = 1 - i / (n + 1)."""
+    i = np.arange(1, inst.n + 1, dtype=float)
+    return 1.0 - i / (inst.n + 1.0)
+
+
 def test_worstcase_smooth_minimizer():
     inst = NesterovLassoInstance(n=13)
-    x_star = inst.smooth_minimizer()
+    x_star = smooth_minimizer(inst)
     assert x_star[0] == pytest.approx(1.0 - 1.0 / 14.0)
     assert np.linalg.norm(inst.g_grad(x_star)) <= 1e-12
     assert inst.g_value(x_star) == pytest.approx(-inst.L / 8.0 * 13.0 / 14.0)
@@ -243,7 +249,7 @@ def test_separable_closed_form_optimum():
 
 def test_verification_instance_shape():
     inst, feasible = make_strongly_convex_instance(10, seed=1, mu=1.0, L=1.0, l1=0.1)
-    assert inst.L == 1.0 and inst.mu == 1.0
+    assert inst.L == 1.0 and float(np.min(inst.h)) == 1.0
     assert inst.M_bound() == pytest.approx(0.1 * np.sqrt(10.0))
     x_star = inst.minimizer()
     assert feasible.contains(x_star)
@@ -252,7 +258,7 @@ def test_verification_instance_shape():
 
 def test_strongly_convex_instance_shape():
     inst, feasible = make_strongly_convex_instance(10, seed=2)
-    assert inst.mu == pytest.approx(0.1)
+    assert float(np.min(inst.h)) == pytest.approx(0.1)
     assert inst.L == pytest.approx(1.0)
     assert feasible.contains(inst.minimizer())
 
@@ -304,8 +310,8 @@ def test_prox_grad_reference_reaches_fixpoint_on_worstcase():
     pulled = x - step * inst.g_grad(x)
     fix = np.sign(pulled) * np.maximum(np.abs(pulled) - step * inst.l1, 0.0)
     assert np.abs(fix - x).max() <= 1e-9
-    assert out["value"] <= inst.g_value(inst.smooth_minimizer()) \
-        + inst.f_values(inst.smooth_minimizer()) + 1e-12
+    assert out["value"] <= inst.g_value(smooth_minimizer(inst)) \
+        + inst.f_values(smooth_minimizer(inst)) + 1e-12
 
 
 def test_prox_grad_reference_validates_L():

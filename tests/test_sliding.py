@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from sliding_opt.geometry import FeasibleSet, NormPair, make_setup, projector, p
 from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator
 from sliding_opt.problems import make_strongly_convex_instance, wire_composite
 from sliding_opt.sliding import (Budgets, CompositeProblem, RestartConfig, SolverAbort,
-                                 build_schedule, ps_procedure, suggest_r_delta,
-                                 theoretical_bound, zosa_run)
+                                 _checkpoint_steps, build_schedule, ps_procedure,
+                                 suggest_r_delta, theoretical_bound, zosa_run)
 
 
 def smooth_only_problem(g_value, g_grad, feasible, *, L, r=1e-3, reference=None, seed=0):
@@ -80,6 +82,27 @@ def test_inner_steps_floor_cap_and_growth():
                          Delta=0.0, r=0.1, D_tilde=1.0, N=10, T_cap=7)
     T, _, capped = big.inner_steps(10)
     assert T == 7 and capped
+    # a D_tilde near underflow makes the raw count inf; the cap still holds
+    tiny = build_schedule(L=1.0, M_est=10.0, n=10, C1=1.0, p_star=1.0,
+                          Delta=0.0, r=0.1, D_tilde=5e-324, N=10, T_cap=7)
+    assert tiny.inner_steps(10) == (7, math.inf, True)
+
+
+def loop_checkpoint_steps(N, checkpoints):
+    """The checkpoint set as one step per requested checkpoint computes it."""
+    if checkpoints <= 0:
+        return {N}
+    ks = {min(N, max(1, round(N * j / checkpoints))) for j in range(1, checkpoints + 1)}
+    return ks | {N}
+
+
+def test_checkpoint_steps_match_the_loop_and_skip_it_from_N_on():
+    for N in range(1, 60):
+        for checkpoints in range(0, 3 * N + 3):
+            assert set(_checkpoint_steps(N, checkpoints)) == loop_checkpoint_steps(N, checkpoints)
+    t0 = time.perf_counter()
+    assert set(_checkpoint_steps(10, 10 ** 12)) == set(range(1, 11))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_zero_moment_schedule_takes_single_inner_step():
@@ -332,7 +355,7 @@ def test_restart_default_phase_length():
 def test_mzosa_zero_phases_returns_start():
     instance, feasible = make_strongly_convex_instance(4, seed=1)
     problem = smooth_only_problem(instance.g_value, instance.g_grad, feasible, L=instance.L)
-    sched = basic_schedule(problem, N=4, mu=instance.mu)
+    sched = basic_schedule(problem, N=4, mu=float(np.min(instance.h)))
     y0 = np.zeros(4)
     y, trace = zosa_run(problem, sched, y0, restart=RestartConfig(rho0=1.0, phases=0))
     assert np.array_equal(y, y0)
@@ -352,13 +375,15 @@ def test_mzosa_requires_positive_mu():
     (0.5, 0.0, 2, "rho0: must be > 0"),
     (0.5, -1.0, 2, "rho0: must be > 0"),
     (0.5, 1.0, -1, "phases: must be >= 0"),
+    # rho0 / (mu * 2^phases) underflows to 0 (and 2.0 ** phases would overflow)
+    (0.5, 10.0, 1100, "phases: rho0 / (mu * 2^phases) must be a positive finite number"),
 ])
 def test_restart_rejects_out_of_range_fields(mu, rho0, phases, message):
     instance, feasible = make_strongly_convex_instance(4, seed=2, mu=1.0, L=1.0, l1=0.1)
     problem, _ = wire_composite(instance, feasible, sphere_rng=np.random.default_rng(5))
     sched = basic_schedule(problem, N=4, mu=mu)
     restart = RestartConfig(rho0=rho0, phases=phases, N0=3)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         zosa_run(problem, sched, np.zeros(4), restart=restart)
     assert problem.counters.zo_calls == 0
 
@@ -371,10 +396,11 @@ def test_mzosa_halves_gap_each_phase_and_counts_first_order_calls():
                                   L=instance.L, reference=reference)
     x0 = np.clip(instance.z + 1.0, -2.0, 2.0)
     rho0 = problem.psi0(x0) - reference
-    sched = basic_schedule(problem, N=1, mu=instance.mu)
+    mu = float(np.min(instance.h))
+    sched = basic_schedule(problem, N=1, mu=mu)
     phases = 5
     restart = RestartConfig(rho0=rho0, phases=phases)
-    N0 = restart.resolved_N0(instance.L, instance.mu)
+    N0 = restart.resolved_N0(instance.L, mu)
     y, trace = zosa_run(problem, sched, x0, checkpoints=1, restart=restart)
     assert problem.counters.fo_calls == N0 * phases
     for i in range(1, phases + 1):
