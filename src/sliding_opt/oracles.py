@@ -57,6 +57,10 @@ class Counters:
     comm_rounds: int = 0
 
 
+# Uniform noise values a model draws at once (4 KiB).
+_NOISE_BLOCK = 512
+
+
 @dataclass
 class NoiseModel:
     """Bounded additive observation noise: zero, i.i.d. uniform, or a sine in x.
@@ -64,12 +68,26 @@ class NoiseModel:
     The sine variant Delta*sin(<omega, x>/Delta) is deterministic in x, so it
     can carry a genuine bias through the estimator; its magnitude never
     exceeds Delta either way.
+
+    Uniform values are drawn from rng in blocks of _NOISE_BLOCK and handed
+    out in order. They are, in order, exactly the values one
+    rng.uniform(-Delta, Delta) call per value would return. The generator is
+    read ahead by up to one block, so a caller who also draws from rng sees
+    its state move in blocks and gets different numbers than with per-value
+    draws.
     """
 
     kind: str
     Delta: float = 0.0
     omega: np.ndarray | None = None
     rng: np.random.Generator | None = None
+
+    def __post_init__(self):
+        # samples() reads the kind from these two, fixed here: the uniform
+        # model's current block (None for the other kinds) and the zero flag
+        self._zero = self.is_zero
+        self._block = None if self._zero or self.kind != "uniform" else np.empty(0)
+        self._pos = 0
 
     @staticmethod
     def zero() -> "NoiseModel":
@@ -112,16 +130,34 @@ class NoiseModel:
         """The noise of each row of the (k, dim) stack X, drawn in row order.
 
         Zero noise is the scalar 0.0: adding it still turns -0.0 into 0.0.
+        Uniform noise is a read-only slice of the current block.
         """
-        if self.is_zero:
+        block = self._block
+        if block is not None:
+            pos = self._pos
+            end = pos + len(X)
+            if end <= len(block):
+                self._pos = end
+                return block[pos:end]
+            return self._refill(end - len(block))
+        if self._zero:
             return 0.0
-        if self.kind == "uniform":
-            # low + (high - low) * next_double per value: the k values of k
-            # -Delta + 2 Delta * random() calls
-            return self.rng.uniform(-self.Delta, self.Delta, len(X))
         # (1, n) @ (n, 1) per row runs the dot kernel of omega @ x
         t = (X[:, None, :] @ self.omega[:, None]).ravel() / max(self.Delta, 1e-30)
         return self.Delta * np.sin(t)
+
+    def _refill(self, need: int) -> np.ndarray:
+        """The rest of the block followed by the first `need` values of fresh
+        whole blocks, which become the current block."""
+        tail = self._block[self._pos:]
+        # low + (high - low) * next_double per value: the values of successive
+        # -Delta + 2 Delta * random() calls, whatever the block size
+        fresh = self.rng.uniform(-self.Delta, self.Delta,
+                                 -(-need // _NOISE_BLOCK) * _NOISE_BLOCK)
+        # fresh arrays per refill: values handed out earlier never change
+        fresh.flags.writeable = False
+        self._block, self._pos = fresh, need
+        return np.concatenate((tail, fresh[:need]))
 
 
 def _stack(X) -> np.ndarray:
@@ -177,7 +213,7 @@ class SmoothingEstimator:
 
     Both values come from one oracle call on the (2, n) stack x + (r e, -r e).
     Directions are drawn from rng in blocks of 2730 // n rows (with their
-    offsets +-r*e, about 64 KiB) and handed out one row at a time. They are, in
+    offsets +-r*e, about 64 KiB) and handed out row by row, by index. They are, in
     order, exactly the values successive sample_sphere(n, rng) calls would
     return. The generator is read ahead by up to one block, so a caller who
     also draws from rng sees its state move in blocks and gets different
@@ -200,29 +236,33 @@ class SmoothingEstimator:
         self.rng = rng if rng is not None else np.random.default_rng()
         self._scale = self.n / (2.0 * self.r)
         self._rows = max(1, _BLOCK_BYTES // (24 * self.n))
-        self._pairs = iter(())
+        self._e = self._offsets = np.empty((0, self.n))
+        self._next = 0
 
-    def _direction(self) -> tuple:
-        """The next direction e and its (2, n) offsets (r e, -r e), e being
-        the value that sample_sphere(n, rng) would return."""
-        while True:
-            for pair in self._pairs:
-                return pair
-            g = self.rng.standard_normal((self._rows, self.n))
-            # (1, n) @ (n, 1) per row runs the dot kernel of g @ g in sample_sphere;
-            # einsum and (g * g).sum(1) round differently
-            nrm = np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
-            keep = nrm > 1e-12
-            # fresh arrays per refill: rows handed out earlier never change
-            e = g[keep] / nrm[keep, None]
-            step = self.r * e
-            # x + (-r e) is x - r e bit for bit
-            self._pairs = zip(e, np.stack((step, -step), axis=1))
+    def _refill(self):
+        """Draw the next block of directions e, each the value that
+        sample_sphere(n, rng) would return, and their (2, n) offsets (r e, -r e)."""
+        g = self.rng.standard_normal((self._rows, self.n))
+        # (1, n) @ (n, 1) per row runs the dot kernel of g @ g in sample_sphere;
+        # einsum and (g * g).sum(1) round differently
+        nrm = np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
+        keep = nrm > 1e-12
+        # fresh arrays per refill: rows handed out earlier never change
+        self._e = g[keep] / nrm[keep, None]
+        step = self.r * self._e
+        # x + (-r e) is x - r e bit for bit
+        self._offsets = np.stack((step, -step), axis=1)
 
     def estimate_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        e, offsets = self._direction()
-        fp, fm = self.oracle.evaluate(x + offsets).tolist()
+        j = self._next
+        # a block whose every row was rejected is empty: draw again
+        while j == len(self._e):
+            self._refill()
+            j = 0
+        self._next = j + 1
+        e = self._e[j]
+        fp, fm = self.oracle.evaluate(x + self._offsets[j]).tolist()
         val = self._scale * (fp - fm)
         if not math.isfinite(val):
             raise EstimatorError(f"non-finite estimate ({fp} vs {fm})", x=x, e=e)

@@ -120,6 +120,10 @@ class LogRegLassoInstance(L1Term):
     l1: float = 0.0
     L: float | None = None          # set by the caller, from smoothness() or a user bound
 
+    def __post_init__(self):
+        # the transpose view, built once: every A^T product runs through it
+        self._AT = self.A.T
+
     @property
     def m(self) -> int:
         return self.A.shape[0]
@@ -138,7 +142,7 @@ class LogRegLassoInstance(L1Term):
         t = self.y * (self.A @ np.asarray(x, dtype=float))
         sig = 1.0 / (1.0 + np.exp(np.minimum(t, 50.0)))
         coeff = -self.y * sig / self.m
-        return np.asarray(self.A.T @ coeff).ravel()
+        return np.asarray(self._AT @ coeff).ravel()
 
     def smoothness(self, iters: int = 100, tol: float = 1e-10) -> float:
         """L = ||A||_2^2 / (4m) with the spectral norm from power iteration."""
@@ -147,7 +151,7 @@ class LogRegLassoInstance(L1Term):
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(iters):
-            w = np.asarray(self.A.T @ (self.A @ v)).ravel()
+            w = np.asarray(self._AT @ (self.A @ v)).ravel()
             lam_new = float(np.linalg.norm(w))
             if lam_new == 0.0:
                 return 0.0

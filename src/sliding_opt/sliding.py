@@ -117,9 +117,10 @@ class CompositeProblem:
     f is reachable only through a noisy zero-order oracle and its smoothing
     estimator; g through exact values and gradients. `counters` is the f
     oracle's cost ledger: the oracle counts zero-order calls into it and
-    grad_g first-order calls. A decentralized instance passes its network:
-    its counters then hold the communication rounds, a counted g value costs
-    one round, and checkpoints record the consensus violation <x, Wx>.
+    grad_g first-order calls. A decentralized instance passes its network,
+    whose penalty R <x, Wx> is then g: its counters hold the communication
+    rounds, a counted g value costs one round, and checkpoints record the
+    consensus violation <x, Wx>.
     f_subgrad (clean) exists so first-order baselines can be run on the same
     instance, never used by the sliding solvers.
     """
@@ -170,13 +171,19 @@ def _checkpoint_steps(N: int, checkpoints: int):
 
 def _record(trace: RunTrace, problem: CompositeProblem, x, step: int, k: int, phase: int,
             wall0: float, bound: float | None):
+    net = problem.net
     with np.errstate(over="ignore", invalid="ignore"):
-        psi0 = problem.psi0(x)
+        if net is None:
+            cons = None
+            psi0 = problem.psi0(x)
+        else:
+            # a lifted problem's g is R <x, Wx>: one product serves both columns
+            cons = net.consensus_violation(x)
+            psi0 = problem.f_clean(x) + net.R * cons
     if not np.isfinite(psi0):
         raise SolverAbort(f"non-finite objective {psi0} at checkpoint",
                           SolverState(k=k, t=0, phase=phase, x=x))
     gap = None if problem.psi0_reference is None else psi0 - problem.psi0_reference
-    cons = None if problem.net is None else problem.net.consensus_violation(x)
     c = problem.counters
     trace.add_row(TraceRow(step=step, fo_calls=c.fo_calls, zo_calls=c.zo_calls,
                            comm_rounds=c.comm_rounds, psi0=psi0,

@@ -10,7 +10,7 @@ from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
 from sliding_opt.harness import _BUILDERS, RunConfig
 from sliding_opt.network import (Graph, NetworkProblem, _LiftedOracle, build_laplacian,
                                  lift_to_penalized)
-from sliding_opt.oracles import NoiseModel, NoisyZeroOrderOracle
+from sliding_opt.oracles import _NOISE_BLOCK, NoiseModel, NoisyZeroOrderOracle
 from sliding_opt.problems import GeometricMedianInstance
 
 NOISE_KINDS = ("zero", "uniform", "adversarial_sine")
@@ -88,6 +88,23 @@ def test_block_evaluate_equals_the_per_node_loop(m, n, seed, noise_kind, terms, 
     x = inst.anchors.ravel() + spread * rng.standard_normal(m * n)
     assert same_bits(lifted.evaluate(x)[0], loop_value(point_fns, ref, m, x))
     assert net.counters.zo_calls == queries * k + 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       terms=st.sampled_from(TERMS), ks=st.lists(st.integers(1, 5), min_size=1, max_size=10))
+def test_noisy_block_evaluate_equals_the_per_node_loop_across_a_refill(m, n, seed, terms, ks):
+    inst, net, lifted, point_fns = build_net(m, n, seed, "uniform", terms)
+    ref = [o.noise for o in build_net(m, n, seed, "uniform", terms)[1].node_oracles]
+    rng = np.random.default_rng(seed + 1)
+    drawn = 0
+    # each node's model draws one value per row: cross its first block boundary
+    while drawn <= _NOISE_BLOCK:
+        k = ks[drawn % len(ks)]
+        X = inst.anchors.ravel() + rng.standard_normal((k, m * n))
+        got = lifted.evaluate(X)
+        assert all(same_bits(got[j], loop_value(point_fns, ref, m, x)) for j, x in enumerate(X))
+        drawn += k
 
 
 @pytest.mark.parametrize("noise_kind", NOISE_KINDS)

@@ -6,6 +6,8 @@ from sliding_opt.network import (Graph, GraphError, NetworkProblem,
                                  build_laplacian, dual_bound_radius, lift_to_penalized,
                                  penalty_coefficient, read_edge_list)
 from sliding_opt.oracles import NoisyZeroOrderOracle
+from sliding_opt.sliding import _record
+from sliding_opt.trace import RunTrace
 
 
 def zero_oracles(m):
@@ -220,6 +222,21 @@ def test_lift_estimate_costs_two_stacked_calls():
     assert problem.counters.zo_calls == 2
     assert all(o.counters.zo_calls == 2 for o in net.node_oracles)
     assert problem.counters.comm_rounds == 0  # penalty untouched by the f estimator
+
+
+def test_lifted_checkpoint_row_takes_one_consensus_product(monkeypatch):
+    net, _, problem = lifted_fixture()
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=6)
+    want = [problem.psi0(x), net.consensus_violation(x)]
+    products = []
+    apply_W_quiet = NetworkProblem.apply_W_quiet
+    monkeypatch.setattr(NetworkProblem, "apply_W_quiet",
+                        lambda self, v: products.append(v) or apply_W_quiet(self, v))
+    trace = RunTrace()
+    _record(trace, problem, x, 0, 0, 0, 0.0, None)
+    row = trace.final()
+    assert np.array([row.psi0, row.consensus_sq_norm]).tobytes() == np.array(want).tobytes()
+    assert len(products) == 1 and problem.counters.comm_rounds == 0
 
 
 def test_lift_scales_diameter_and_lipschitz_bound():

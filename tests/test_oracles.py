@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliding_opt.geometry import NormPair
-from sliding_opt.oracles import (NoiseModel, NoisyZeroOrderOracle, SmoothingEstimator,
-                                 default_p_star, sample_sphere)
+from sliding_opt.oracles import (_NOISE_BLOCK, NoiseModel, NoisyZeroOrderOracle,
+                                 SmoothingEstimator, default_p_star, sample_sphere)
 from sliding_opt.problems import make_strongly_convex_instance, wire_composite
 
 
@@ -73,6 +73,26 @@ def test_uniform_noise_equals_numpy_uniform_draws():
             for _ in range(10 ** 4):
                 drawn = noise.samples(np.zeros((k, 2))).tolist()
                 assert drawn == [float(ref.uniform(-Delta, Delta)) for _ in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), Delta=st.floats(1e-12, 1e3),
+       ks=st.lists(st.integers(1, 5), min_size=1, max_size=30), big=st.booleans())
+def test_uniform_noise_blocks_hand_out_one_draw_per_value_in_order(seed, Delta, ks, big):
+    noise = NoiseModel.uniform(Delta, np.random.default_rng(seed))
+    ref = np.random.default_rng(seed)
+    first = noise.samples(np.zeros((ks[0], 2)))
+    kept = first.tolist()
+    assert kept == [float(ref.uniform(-Delta, Delta)) for _ in range(ks[0])]
+    drawn, calls = ks[0], 1
+    # past two block boundaries, with one call of more than two blocks if big
+    while drawn <= 2 * _NOISE_BLOCK:
+        k = 2 * _NOISE_BLOCK + 3 if big and calls == 3 else ks[calls % len(ks)]
+        got = noise.samples(np.zeros((k, 2))).tolist()
+        assert got == [float(ref.uniform(-Delta, Delta)) for _ in range(k)]
+        drawn, calls = drawn + k, calls + 1
+    # values handed out before a refill do not change
+    assert first.tolist() == kept
 
 
 def test_sine_noise_is_deterministic_in_x():
@@ -161,8 +181,9 @@ def test_stacked_evaluate_equals_the_serial_per_point_values(kind, n, k, seed, D
         assert got.tobytes() == np.array(want).tobytes()
     assert oracle.counters.zo_calls == calls * k
     if kind == "uniform":
-        # the stream is left where calls * k per-point draws leave it
-        assert noise.rng.random() == ref_rng.random()
+        # the model's next values continue the per-point stream
+        assert noise.samples(np.zeros((3, n))).tolist() == [
+            -Delta + 2.0 * Delta * ref_rng.random() for _ in range(3)]
 
 
 def test_oracle_validates_M_and_s():

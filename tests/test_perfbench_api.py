@@ -15,6 +15,10 @@ A second scan collects the `config.*` and `derived.*` keys that
 perfbench/checks.py reads from each sliding run's trace, and tiny `zosa` and
 `mzosa` runs must carry them: a trimmed echo or a removed setting would
 otherwise surface only as a KeyError inside the benchmark.
+
+The benchmark sees the runs inside a `compare` call only by wrapping the
+function its workloads name as RUN_ENTRY, so `compare` must make every run
+through it; a `compare` routed around it would leave every run unobserved.
 """
 
 import ast
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from sliding_opt import RunConfig, run
+from sliding_opt import RunConfig, compare, run
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH_FILES = sorted(BENCH_DIR.glob("*.py"))
@@ -152,3 +156,22 @@ def test_sliding_traces_carry_the_metadata_perfbench_checks_read(experiment):
     mzosa = run(RunConfig(method="mzosa", mu=0.1, rho0=2.0, phases=1, N0=2, **shape)).metadata
     assert schedule - (zosa.keys() & mzosa.keys()) == set()
     assert every - (zosa.keys() | mzosa.keys()) == set()
+
+
+def test_compare_makes_every_run_through_the_benchmark_run_entry(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    module, name = importlib.import_module("workloads").RUN_ENTRY
+    module = importlib.import_module(module)
+    entry, seen = getattr(module, name), []
+
+    def observed(cfg):
+        seen.append((cfg.seed, cfg.eta_scale))
+        return entry(cfg)
+
+    monkeypatch.setattr(module, name, observed)
+    seeds = [1, 2, 3]
+    rows, _ = compare(RunConfig(experiment="synthetic", n=3, N=2, checkpoints=1), ["gd"], seeds)
+    # three tuning candidates on the first seed, then one run per further seed
+    assert len(seen) == 3 + (len(seeds) - 1)
+    assert sorted(seen[:3]) == [(1, 0.1), (1, 1.0), (1, 10.0)]
+    assert seen[3:] == [(seed, rows[0]["eta_scale"]) for seed in seeds[1:]]

@@ -110,6 +110,22 @@ def test_logreg_smoothness_matches_dense_spectral_norm():
     assert inst.smoothness() == pytest.approx(exact, rel=1e-8)
 
 
+def test_logreg_products_reuse_one_transpose(monkeypatch):
+    inst, _ = dense_logreg(seed=5)
+    x = np.random.default_rng(6).standard_normal(inst.n)
+    t = inst.y * (inst.A @ x)
+    # the expression g_grad computed when it transposed A on every call
+    sig = 1.0 / (1.0 + np.exp(np.minimum(t, 50.0)))
+    want = np.asarray(inst.A.T @ (-inst.y * sig / inst.m))
+    built = []
+    transpose = type(inst.A).transpose
+    monkeypatch.setattr(type(inst.A), "transpose",
+                        lambda self, *a, **kw: built.append(1) or transpose(self, *a, **kw))
+    assert inst.g_grad(x).tobytes() == want.ravel().tobytes()
+    inst.smoothness()
+    assert built == []
+
+
 def test_read_libsvm_round_trip(tmp_path):
     path = tmp_path / "toy.libsvm"
     path.write_text("+1 1:0.5 3:-1.25\n-1 2:2\n\n+1 1:1\n")
