@@ -124,9 +124,10 @@ class RunConfig:
 
 # A run reads a setting when moving it off its default changes the trace body
 # or a derived.* value. out_path and max_wall_ms are read but change neither;
-# seed names the replicate, and gd on nesterov and logreg draws nothing from it.
+# seed names the replicate, but runs of the SEED_FREE pairs draw nothing from it.
 READ_BY_EVERY_RUN = frozenset({"experiment", "method", "seed", "checkpoints", "eps", "r",
                                "reference", "out_path", "max_wall_ms"})
+SEED_FREE = frozenset({("nesterov", "gd"), ("logreg", "gd")})
 EXPERIMENT_READS = {
     "geom_median": frozenset({"n", "m", "topology", "edge_file", "R", "bound_hint",
                               "max_comm_rounds"}),
@@ -737,9 +738,11 @@ def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
             for s in _TUNING_GRID:
                 first_scores[s] = one(method, seeds[0], s)
             scale = min(_TUNING_GRID, key=lambda s: first_scores[s])
+        runs = seeds[:1] if (cfg.experiment, method) in SEED_FREE else seeds
         scores = [first_scores[scale] if (first_scores and seed == seeds[0])
                   else one(method, seed, scale)
-                  for seed in seeds]
+                  for seed in runs]
+        scores *= len(seeds) // len(runs)  # a seed-free run's score holds for every seed
         median, q25, q75 = (_quantile(scores, q) for q in (0.5, 0.25, 0.75))
         rows.append({"method": method,
                      "topology": cfg.topology if cfg.experiment == "geom_median" else "-",

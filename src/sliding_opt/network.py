@@ -17,6 +17,9 @@ from .sliding import CompositeProblem
 
 # Relative threshold separating the zero eigenvalue from the connectivity eigenvalue.
 _EIG_REL_TOL = 1e-9
+# left-to-right float sums from 0 (-0.0 sums to 0.0); Python >= 3.12's sum() compensates
+_ordered_sum = sum if sum([1.0, 1e100, 1.0, -1e100]) == 0.0 else (
+    lambda row: float(np.add.accumulate([0.0, *row])[-1]))
 
 
 class GraphError(ValueError):
@@ -166,8 +169,8 @@ class NetworkProblem:
 
     apply_W is the counted blockwise mixing step (one communication round in
     counters.comm_rounds); the _quiet variant serves diagnostics and never
-    touches the counter. The node oracles keep their own counters: their
-    zo_calls are calls per node.
+    touches the counter. The lifted oracle counts its calls there too; each
+    queries every node once, so zo_calls are also the calls per node.
     """
 
     def __init__(self, lap: Laplacian, n: int, node_oracles: list, R: float):
@@ -217,9 +220,9 @@ class _LiftedOracle:
     """Stacked zero-order oracle: a call on k points of the lifted space
     evaluates every node's term on its own block of each point, adds node
     i's noise, drawn from its own model over its k rows, and averages each
-    point's nodes left to right. It counts k into the network's counters and
-    into each node's. The node values come from node_values on the (k, m, n)
-    stack when given, else from node i's oracle f on its (k, n) column.
+    point's nodes left to right. It counts k into the network's counters only.
+    The node values come from node_values on the (k, m, n) stack when given,
+    else from node i's oracle f on its (k, n) column.
     """
 
     def __init__(self, net: NetworkProblem, node_values=None):
@@ -229,22 +232,18 @@ class _LiftedOracle:
         self.s = min(o.s for o in oracles)
         self.Delta = max(o.Delta for o in oracles)
         self.counters = net.counters
-        self._node_counters = [o.counters for o in oracles]
         self._shape = (-1, net.m, net.n)
         self._values = node_values or (
             lambda X: np.stack([o.f(X[:, i]) for i, o in enumerate(oracles)], axis=1))
         self._noise = [(i, o.noise) for i, o in enumerate(oracles) if not o.noise.is_zero]
 
     def _mean(self, vals) -> np.ndarray:
-        # add.accumulate sums in order; + 0.0 gives the sign a sum from 0.0 has
-        return (np.add.accumulate(vals, axis=1)[:, -1] + 0.0) / self.net.m
+        m = self.net.m
+        return np.array([_ordered_sum(row) / m for row in vals.tolist()])
 
     def evaluate(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float).reshape(self._shape)
-        k = len(X)
-        self.counters.zo_calls += k
-        for c in self._node_counters:
-            c.zo_calls += k
+        self.counters.zo_calls += len(X)
         vals = self._values(X)
         if self._noise:
             # a zero-noise node adds 0.0, as its own oracle would

@@ -142,8 +142,8 @@ class NoiseModel:
             return self._refill(end - len(block))
         if self._zero:
             return 0.0
-        # (1, n) @ (n, 1) per row runs the dot kernel of omega @ x
-        t = (X[:, None, :] @ self.omega[:, None]).ravel() / max(self.Delta, 1e-30)
+        # vecdot runs the dot kernel of omega @ x on each row
+        t = np.vecdot(X, self.omega) / max(self.Delta, 1e-30)
         return self.Delta * np.sin(t)
 
     def _refill(self, need: int) -> np.ndarray:
@@ -236,22 +236,26 @@ class SmoothingEstimator:
         self.rng = rng if rng is not None else np.random.default_rng()
         self._scale = self.n / (2.0 * self.r)
         self._rows = max(1, _BLOCK_BYTES // (24 * self.n))
-        self._e = self._offsets = np.empty((0, self.n))
+        self._e = self._offsets = []
         self._next = 0
 
     def _refill(self):
         """Draw the next block of directions e, each the value that
-        sample_sphere(n, rng) would return, and their (2, n) offsets (r e, -r e)."""
+        sample_sphere(n, rng) would return, and their (2, n) offsets (r e, -r e), as row lists."""
         g = self.rng.standard_normal((self._rows, self.n))
-        # (1, n) @ (n, 1) per row runs the dot kernel of g @ g in sample_sphere;
+        # vecdot runs the dot kernel of g @ g in sample_sphere on each row;
         # einsum and (g * g).sum(1) round differently
-        nrm = np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
+        nrm = np.sqrt(np.vecdot(g, g))
         keep = nrm > 1e-12
+        if not keep.all():
+            g, nrm = g[keep], nrm[keep]
         # fresh arrays per refill: rows handed out earlier never change
-        self._e = g[keep] / nrm[keep, None]
-        step = self.r * self._e
+        g /= nrm[:, None]
+        offsets = np.empty((len(g), 2, self.n))
+        np.multiply(self.r, g, out=offsets[:, 0])
         # x + (-r e) is x - r e bit for bit
-        self._offsets = np.stack((step, -step), axis=1)
+        np.negative(offsets[:, 0], out=offsets[:, 1])
+        self._e, self._offsets = list(g), list(offsets)
 
     def estimate_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -39,8 +39,8 @@ class L1Term:
 def _row_norms(D) -> np.ndarray:
     """The Euclidean norm of each row of D (its last axis), each equal to
     np.linalg.norm of that row bit for bit."""
-    # (1, n) @ (n, 1) per row runs the dot kernel of np.linalg.norm
-    return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+    # vecdot runs the dot kernel of np.linalg.norm on each row
+    return np.sqrt(np.vecdot(D, D))
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,6 @@ class SlidingSchedule:
     def gamma(self, k: int) -> float:
         return 2.0 / (k + 1.0)
 
-    def Gamma(self, k: int) -> float:
-        return 2.0 / (k * (k + 1.0))
-
     def inner_steps(self, k: int):
         """(T_k, raw value, capped?) for outer iteration k."""
         raw = self.N * (self.M_tilde ** 2 + self.sigma_sq) * k * k / (self.D_tilde * self.L ** 2)
@@ -244,7 +241,9 @@ def ps_procedure(problem: CompositeProblem, h_grad, x_anchor, beta: float, T: in
     if x_anchor.shape != (n,) or h_grad.shape != (n,) or estimator.n != n:
         raise ValueError(f"ps_procedure: x_anchor {x_anchor.shape}, h_grad {h_grad.shape} and "
                          f"estimator dimension {estimator.n} must match the set's {n}")
-    proj = projector(setup.feasible)
+    # the whole space projects z to z: its fresh target is the next iterate
+    proj = None if setup.feasible.kind == "whole_space" else projector(setup.feasible)
+    zeros = np.zeros(n)
     bx = beta * x_anchor
     u = x_anchor.copy()
     u_tilde = u.copy()
@@ -255,16 +254,21 @@ def ps_procedure(problem: CompositeProblem, h_grad, x_anchor, beta: float, T: in
             raise SolverAbort(str(err), SolverState(k=k, t=t, phase=phase, x=u)) from err
         a = h_grad + ghat
         p = 0.5 * t
-        target = (bx + beta * p * u - a) / (beta * (1.0 + p))
-        if not np.isfinite(target).all():
+        target = beta * p * u
+        target += bx
+        target -= a
+        target /= beta * (1.0 + p)
+        # <target, 0> is NaN exactly when an entry is inf or NaN
+        if not math.isfinite(target.dot(zeros)):
             raise SolverAbort("non-finite prox target",
                               SolverState(k=k, t=t, phase=phase, x=u))
-        u = proj(target)
+        u = target if proj is None else proj(target)
         if t == 1:
             u_tilde = u.copy()
         else:
-            theta = 2.0 * (t + 1.0) / (t * (t + 3.0))
-            u_tilde += theta * (u - u_tilde)
+            d = u - u_tilde
+            d *= 2.0 * (t + 1.0) / (t * (t + 3.0))
+            u_tilde += d
     return u, u_tilde
 
 

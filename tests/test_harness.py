@@ -18,7 +18,7 @@ import sliding_opt
 from sliding_opt import harness
 from sliding_opt.cli import main
 from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
-from sliding_opt.harness import (EXPERIMENTS, METHODS, ConfigError, RunConfig,
+from sliding_opt.harness import (EXPERIMENTS, METHODS, SEED_FREE, ConfigError, RunConfig,
                                  _finalize_metadata, _largest_N_for_zo, _zosa_zo_cost,
                                  apply_overrides, compare, config_from_metadata, from_mapping,
                                  load_config, parse_config_file, parse_metric, parse_seed_spec,
@@ -195,8 +195,6 @@ def test_unknown_stream_rejected():
 # the settings each run reads
 
 PAIRS = [(experiment, method) for experiment in EXPERIMENTS for method in METHODS]
-# gd on these experiments draws no random numbers, so its seed changes nothing
-DRAWS_NOTHING = {("nesterov", "gd"), ("logreg", "gd")}
 # a short run of every pair whose inner loops take more than one step; a
 # pair's base is this without the settings the pair does not read
 PAIR_BASE = dict(seed=1, n=3, N=3, checkpoints=2, noise_kind="uniform", Delta=1e-3, r=1e-3,
@@ -278,7 +276,7 @@ def test_every_read_setting_changes_the_body_or_a_derived_value(experiment, meth
     base = pair_config(experiment, method)
     # out_path and max_wall_ms are read but change neither
     skip = {"experiment", "method", "out_path", "max_wall_ms"}
-    if (experiment, method) in DRAWS_NOTHING:
+    if (experiment, method) in SEED_FREE:
         skip.add("seed")
     base_outcome = _outcome(base)
     ignored = []
@@ -599,6 +597,37 @@ def test_compare_drops_the_problem_of_a_censored_candidate(monkeypatch):
     state = abort.state
     assert (state.k, state.t, state.phase) == (200, 0, 0)
     assert state.x.shape == (15,)
+
+
+@pytest.mark.parametrize("experiment, method", sorted(SEED_FREE))
+def test_seed_free_pairs_draw_nothing_from_the_seed(experiment, method, tmp_path, monkeypatch):
+    write_pair_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    base = pair_config(experiment, method)
+    assert all(_outcome(replace(base, seed=seed)) == _outcome(base) for seed in (0, 2, 7))
+
+
+@pytest.mark.parametrize("experiment", ["nesterov", "logreg"])
+@pytest.mark.parametrize("eta0", [None, 0.5])
+def test_compare_runs_a_seed_free_pair_once_per_candidate(experiment, eta0, tmp_path,
+                                                          monkeypatch):
+    write_pair_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    cfg = replace(pair_config(experiment, "gd"), N=20, checkpoints=4, eta0=eta0)
+    seeds = [1, 2, 3, 4, 5]
+    run_one, seen = harness.run, []
+    monkeypatch.setattr(harness, "run", lambda c: seen.append((c.method, c.seed)) or run_one(c))
+    _, text = compare(cfg, ["gd", "zogd"], seeds)
+    # gd: one run per tuning candidate (or one untuned run), on the first
+    # seed; zogd reads its seed and is tuned and run as before
+    candidates = 3 if eta0 is None else 1
+    per_seed = [1] * candidates + seeds[1:]
+    assert seen == [("gd", 1)] * candidates + [("zogd", seed) for seed in per_seed]
+    # the table is the one a run per seed gives
+    monkeypatch.setattr(harness, "SEED_FREE", frozenset())
+    seen.clear()
+    assert compare(cfg, ["gd", "zogd"], seeds)[1] == text
+    assert seen == [(method, seed) for method in ("gd", "zogd") for seed in per_seed]
 
 
 def test_compare_requires_reference():

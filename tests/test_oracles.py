@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliding_opt.geometry import NormPair
 from sliding_opt.oracles import (_NOISE_BLOCK, NoiseModel, NoisyZeroOrderOracle,
                                  SmoothingEstimator, default_p_star, sample_sphere)
-from sliding_opt.problems import make_strongly_convex_instance, wire_composite
+from sliding_opt.problems import _row_norms, make_strongly_convex_instance, wire_composite
 
 
 def make_oracle(f, M=1.0, s=1.0, **kw):
@@ -285,6 +285,39 @@ def test_estimator_directions_equal_successive_sample_sphere_draws(n):
     assert len(seen) == draws
     for e in seen:
         assert np.array_equal(e, sample_sphere(n, ref))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-100, 100))
+@example(n=10, seed=0, exponent=0)
+@example(n=50, seed=1, exponent=3)
+@example(n=200, seed=2, exponent=-3)
+def test_vecdot_sites_equal_the_one_row_kernels(n, seed, exponent):
+    # n = 10, 50 and 200 are the workloads' dimensions (200: the lifted m = 20, n = 10)
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((3, 4, n)) * 10.0 ** exponent
+    # a geometric-median node value: np.linalg.norm of each row of a (k, m, n) stack
+    norms = _row_norms(D)
+    assert norms.shape == (3, 4)
+    assert all(_bits(norms[i]) == _bits(np.linalg.norm(D[i])) for i in np.ndindex(3, 4))
+    # sine noise: Delta sin(<omega, x> / Delta) with <omega, x> the 1-d omega @ x
+    omega, X = rng.standard_normal(n), D[0]
+    want = [0.5 * float(np.sin(float(omega @ x) / 0.5)) for x in X]
+    assert _bits(NoiseModel.adversarial_sine(0.5, omega).samples(X)) == _bits(want)
+    # estimator: each direction is sample_sphere's g / sqrt(g @ g), queried at x +- r e
+    est = SmoothingEstimator(_RecordingOracle(), r=0.3, n=n, norms=NormPair.euclidean(),
+                             rng=np.random.default_rng(seed))
+    ref = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    for _ in range(min(est._rows + 2, 60)):   # past a block boundary where n >= 47
+        est.estimate_gradient(x)
+        e = sample_sphere(n, ref)
+        plus, minus = est.oracle.queries[-2:]
+        assert _bits(plus) == _bits(x + 0.3 * e) and _bits(minus) == _bits(x - 0.3 * e)
 
 
 def test_estimator_skips_a_zero_row_as_sample_sphere_rejects_it():

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ def test_gamma_beta_ratio_monotone_with_inner_counts():
     for k in range(1, 51):
         T_k, _, _ = sched.inner_steps(k)
         P_T = 2.0 / ((T_k + 1.0) * (T_k + 2.0))
-        vals.append(sched.gamma(k) * sched.beta(k) / (sched.Gamma(k) * (1.0 - P_T)))
+        Gamma = 2.0 / (k * (k + 1.0))
+        vals.append(sched.gamma(k) * sched.beta(k) / (Gamma * (1.0 - P_T)))
     assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
@@ -205,6 +207,64 @@ def test_ps_aborts_on_non_finite_prox_target():
     state = err.value.state
     assert (state.k, state.t, state.phase) == (4, 1, 2)
     assert np.array_equal(state.x, x)
+
+
+_SPECIALS = (math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), size=st.integers(1, 400), exponent=st.floats(-300.0, 300.0),
+       injected=st.lists(st.sampled_from(_SPECIALS), max_size=4))
+def test_one_call_finiteness_check_agrees_with_isfinite(data, size, exponent, injected):
+    # ps_procedure's abort check: <z, 0> is NaN exactly when an entry is inf or NaN
+    z = data.draw(arrays(np.float64, size, elements=st.floats(-1.0, 1.0))) * 10.0 ** exponent
+    for value in injected:
+        z[data.draw(st.integers(0, size - 1))] = value
+    with np.errstate(invalid="ignore"):
+        assert math.isfinite(z.dot(np.zeros(size))) == bool(np.isfinite(z).all())
+
+
+class _WarningCountingEstimator(_ScriptedEstimator):
+    """A scripted estimator that also records how many warnings were caught
+    before each call, that is, during the steps before it."""
+
+    def __init__(self, ghats, caught):
+        super().__init__(ghats)
+        self.caught, self.before = caught, []
+
+    def estimate_gradient(self, x):
+        self.before.append(len(self.caught))
+        return super().estimate_gradient(x)
+
+
+@pytest.mark.parametrize("feasible", [
+    FeasibleSet.whole_space(_N, 10.0),
+    FeasibleSet.box(-np.ones(_N), 2.0 * np.ones(_N)),
+], ids=["whole_space", "box"])
+@settings(max_examples=100, deadline=None)
+@given(x_anchor=_vec, h_grad=_vec, ghats=_steps, data=st.data(),
+       huge=st.sampled_from((1e300, -1e300, 1e308)), beta=st.floats(1e-12, 1e-9))
+def test_ps_overflowing_target_aborts_as_the_serial_prox_does(feasible, x_anchor, h_grad,
+                                                              ghats, data, huge, beta):
+    # a huge estimate at step t_bad puts (.. - a) / (beta (1 + p)) past the largest float
+    t_bad = data.draw(st.integers(1, len(ghats)))
+    ghats[t_bad - 1, data.draw(st.integers(0, _N - 1))] = huge
+    setup = make_setup(NormPair.euclidean(), feasible, "half_sq_euclid")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = _WarningCountingEstimator(ghats, caught)
+        problem = CompositeProblem(setup, lambda x: 0.0, lambda x: np.zeros(_N), est, L=1.0)
+        with pytest.raises(SolverAbort) as err:
+            ps_procedure(problem, h_grad, x_anchor, beta, len(ghats), k=3, phase=1)
+    # the steps before t_bad are prox steps, and none of them warns
+    u = x_anchor
+    for t, ghat in enumerate(ghats[:t_bad - 1], start=1):
+        u = prox_step(setup, h_grad + ghat, x_anchor, u, beta, 0.5 * t)
+    assert est.before == [0] * t_bad and caught
+    assert str(err.value) == f"non-finite prox target (outer k=3, inner t={t_bad}, phase=1)"
+    state = err.value.state
+    assert (state.k, state.t, state.phase) == (3, t_bad, 1)
+    assert _same_bits(state.x, u)
 
 
 def test_ps_rejects_entropy_setup_and_mismatched_shapes():
