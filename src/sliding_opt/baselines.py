@@ -18,6 +18,10 @@ from .sliding import (Budgets, CompositeProblem, SolverAbort, SolverState, _chec
                       _Recorder)
 
 
+STEP_RULES = ("constant", "inv_sqrt")
+AVERAGING_MODES = ("last", "running_best", "uniform_avg")
+
+
 @dataclass
 class BaselineConfig:
     """Step rule (constant eta0, or eta0/sqrt(t)), iteration count, reporting mode.
@@ -33,23 +37,22 @@ class BaselineConfig:
     averaging: str = "last"
     r: float = 0.0
 
+    def __post_init__(self):
+        if self.N_steps < 0:
+            raise ValueError("N_steps: must be >= 0")
+        if self.step_rule not in STEP_RULES:
+            raise ValueError(f"step_rule: unknown '{self.step_rule}'")
+        if self.step_rule == "constant" and self.eta0 < 0:
+            raise ValueError("eta0: must be >= 0")
+        if self.step_rule == "inv_sqrt" and self.eta0 <= 0:
+            raise ValueError("eta0: must be > 0")
+        if self.averaging not in AVERAGING_MODES:
+            raise ValueError(f"averaging: unknown '{self.averaging}'")
+
     def step_size(self, t: int) -> float:
         if self.step_rule == "constant":
             return self.eta0
-        if self.step_rule == "inv_sqrt":
-            return self.eta0 / math.sqrt(t)
-        raise ValueError(f"step_rule: unknown '{self.step_rule}'")
-
-
-def _validate(cfg: BaselineConfig):
-    if cfg.N_steps < 0:
-        raise ValueError("N_steps: must be >= 0")
-    if cfg.step_rule == "constant" and cfg.eta0 < 0:
-        raise ValueError("eta0: must be >= 0")
-    if cfg.step_rule == "inv_sqrt" and cfg.eta0 <= 0:
-        raise ValueError("eta0: must be > 0")
-    if cfg.averaging not in ("last", "running_best", "uniform_avg"):
-        raise ValueError(f"averaging: unknown '{cfg.averaging}'")
+        return self.eta0 / math.sqrt(t)
 
 
 class _Reporter:
@@ -87,7 +90,6 @@ class _Reporter:
 
 def _descent_loop(problem: CompositeProblem, cfg: BaselineConfig, x0, direction_fn, *,
                   checkpoints: int, budgets: Budgets | None):
-    _validate(cfg)
     rec = _Recorder(problem, x0, budgets)
     x = rec.x0
     proj = projector(problem.setup.feasible)

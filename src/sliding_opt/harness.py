@@ -10,6 +10,7 @@ saved trace file is enough to re-execute the run without the original config.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import os
@@ -21,11 +22,11 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
-from .baselines import BaselineConfig, gd_run, zogd_run
+from .baselines import AVERAGING_MODES, STEP_RULES, BaselineConfig, gd_run, zogd_run
 from .geometry import FeasibleSet, NormPair, make_setup
 from .network import (NetworkProblem, Graph, build_laplacian, dual_bound_radius,
                       lift_to_penalized, penalty_coefficient, read_edge_list)
-from .oracles import NoiseModel
+from .oracles import NOISE_KINDS, NoiseModel
 from .problems import (GeometricMedianInstance, NesterovLassoInstance, dataset_path,
                        make_strongly_convex_instance, prox_grad_reference, read_libsvm,
                        weiszfeld, wire_composite)
@@ -39,9 +40,6 @@ class ConfigError(ValueError):
 
 
 TOPOLOGIES = ("star", "complete", "chain", "cycle", "custom")
-NOISE_KINDS = ("zero", "uniform", "adversarial_sine")
-STEP_RULES = ("constant", "inv_sqrt")
-AVERAGING_MODES = ("last", "running_best", "uniform_avg")
 REFERENCE_MODES = ("auto", "none")
 
 # Fixed offsets under the master seed; every consumer of randomness draws from
@@ -402,9 +400,9 @@ def _build_geom_median(cfg: RunConfig) -> _Build:
     sugg = suggest_r_delta(cfg.eps, M_lift, m * n, per_node.D_X * math.sqrt(m), 1.0)
     r = cfg.r if cfg.r is not None else sugg["r"]
     uniform = cfg.noise_kind == "uniform"
-    noise_models = [NoiseModel.build(cfg.noise_kind, cfg.Delta,
-                                     (i + 1.0) * np.arange(1, n + 1, dtype=float),
-                                     seed_stream(cfg.seed, "noise", i) if uniform else None)
+    noise_models = [NoiseModel(cfg.noise_kind, cfg.Delta,
+                               (i + 1.0) * np.arange(1, n + 1, dtype=float),
+                               seed_stream(cfg.seed, "noise", i) if uniform else None)
                     for i in range(m)]
     oracles = inst.make_node_oracles(s=2.0 * r, noise_models=noise_models)
     net = NetworkProblem(lap, n, oracles, R)
@@ -720,7 +718,8 @@ def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
     _reject_unread(cfg, frozenset().union(*(read_fields(cfg.experiment, m) for m in methods)),
                    f"methods = {','.join(methods)}")
 
-    def one(method, seed, scale):
+    @functools.cache
+    def score(method, seed, scale):
         run_cfg = run_cfgs[method]
         run_cfg = replace(run_cfg, seed=seed, eta_scale=scale * run_cfg.eta_scale,
                           out_path=None, with_bound=False)
@@ -733,16 +732,11 @@ def compare(cfg: RunConfig, methods, seeds, metric: str = "gap_at_budget",
     rows = []
     for method in methods:
         scale = 1.0
-        first_scores = {}
         if method in ("gd", "zogd") and cfg.eta0 is None:
-            for s in _TUNING_GRID:
-                first_scores[s] = one(method, seeds[0], s)
-            scale = min(_TUNING_GRID, key=lambda s: first_scores[s])
-        runs = seeds[:1] if (cfg.experiment, method) in SEED_FREE else seeds
-        scores = [first_scores[scale] if (first_scores and seed == seeds[0])
-                  else one(method, seed, scale)
-                  for seed in runs]
-        scores *= len(seeds) // len(runs)  # a seed-free run's score holds for every seed
+            scale = min(_TUNING_GRID, key=lambda s: score(method, seeds[0], s))
+        # a seed-free run's score holds for every seed
+        free = (cfg.experiment, method) in SEED_FREE
+        scores = [score(method, seeds[0] if free else seed, scale) for seed in seeds]
         median, q25, q75 = (_quantile(scores, q) for q in (0.5, 0.25, 0.75))
         rows.append({"method": method,
                      "topology": cfg.topology if cfg.experiment == "geom_median" else "-",

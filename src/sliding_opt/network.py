@@ -28,16 +28,19 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
+    """A connected undirected graph on nodes 0..m-1 without self-loops or
+    duplicate edges; edges are stored as sorted (min, max) pairs."""
+
     m: int
     edges: tuple
     topology_tag: str = "custom"
 
-    @staticmethod
-    def _validate(m, edges, tag):
+    def __post_init__(self):
+        m = self.m
         if m < 2:
             raise GraphError("m: must be >= 2")
         seen = set()
-        for (i, j) in edges:
+        for (i, j) in self.edges:
             if not (0 <= i < m and 0 <= j < m):
                 raise GraphError(f"edge ({i},{j}): node out of range for m={m}")
             if i == j:
@@ -67,30 +70,25 @@ class Graph:
         if label > 1:
             groups = [[v for v in range(m) if comp[v] == c] for c in range(label)]
             raise GraphError(f"graph is disconnected; components: {groups}")
-        return tuple(sorted(seen)), tag
-
-    @staticmethod
-    def custom(m: int, edges, topology_tag: str = "custom") -> "Graph":
-        edges, tag = Graph._validate(m, list(edges), topology_tag)
-        return Graph(m, edges, tag)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @staticmethod
     def star(m: int) -> "Graph":
-        return Graph.custom(m, [(0, i) for i in range(1, m)], "star")
+        return Graph(m, [(0, i) for i in range(1, m)], "star")
 
     @staticmethod
     def complete(m: int) -> "Graph":
-        return Graph.custom(m, [(i, j) for i in range(m) for j in range(i + 1, m)], "complete")
+        return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)], "complete")
 
     @staticmethod
     def chain(m: int) -> "Graph":
-        return Graph.custom(m, [(i, i + 1) for i in range(m - 1)], "chain")
+        return Graph(m, [(i, i + 1) for i in range(m - 1)], "chain")
 
     @staticmethod
     def cycle(m: int) -> "Graph":
         if m < 3:
             raise GraphError("m: cycle needs m >= 3")
-        return Graph.custom(m, [(i, (i + 1) % m) for i in range(m)], "cycle")
+        return Graph(m, [(i, (i + 1) % m) for i in range(m)], "cycle")
 
 
 def read_edge_list(path, m: int | None = None) -> Graph:
@@ -114,7 +112,7 @@ def read_edge_list(path, m: int | None = None) -> Graph:
             max_node = max(max_node, i, j)
     if not edges:
         raise GraphError(f"{path}: no edges")
-    return Graph.custom(m if m is not None else max_node + 1, edges)
+    return Graph(m if m is not None else max_node + 1, edges)
 
 
 @dataclass(frozen=True)
@@ -235,7 +233,7 @@ class _LiftedOracle:
         self._shape = (-1, net.m, net.n)
         self._values = node_values or (
             lambda X: np.stack([o.f(X[:, i]) for i, o in enumerate(oracles)], axis=1))
-        self._noise = [(i, o.noise) for i, o in enumerate(oracles) if not o.noise.is_zero]
+        self._noise = [(i, o.noise) for i, o in enumerate(oracles) if o.noise.kind != "zero"]
 
     def _mean(self, vals) -> np.ndarray:
         m = self.net.m

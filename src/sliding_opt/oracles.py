@@ -57,6 +57,7 @@ class Counters:
     comm_rounds: int = 0
 
 
+NOISE_KINDS = ("zero", "uniform", "adversarial_sine")
 # Uniform noise values a model draws at once (4 KiB).
 _NOISE_BLOCK = 512
 
@@ -64,6 +65,10 @@ _NOISE_BLOCK = 512
 @dataclass
 class NoiseModel:
     """Bounded additive observation noise: zero, i.i.d. uniform, or a sine in x.
+
+    The model is zero whenever kind is 'zero' or Delta is 0; its Delta is
+    then 0. omega is read (and kept) only by the sine model, rng only by the
+    uniform one.
 
     The sine variant Delta*sin(<omega, x>/Delta) is deterministic in x, so it
     can carry a genuine bias through the estimator; its magnitude never
@@ -83,48 +88,22 @@ class NoiseModel:
     rng: np.random.Generator | None = None
 
     def __post_init__(self):
-        # samples() reads the kind from these two, fixed here: the uniform
-        # model's current block (None for the other kinds) and the zero flag
-        self._zero = self.is_zero
-        self._block = None if self._zero or self.kind != "uniform" else np.empty(0)
-        self._pos = 0
-
-    @staticmethod
-    def zero() -> "NoiseModel":
-        return NoiseModel("zero")
-
-    @staticmethod
-    def build(kind: str, Delta: float, omega, rng: np.random.Generator | None) -> "NoiseModel":
-        """The model of a given kind; zero whenever kind is 'zero' or Delta is 0.
-
-        omega is read only by the sine model, rng only by the uniform one.
-        """
-        if kind not in ("zero", "uniform", "adversarial_sine"):
-            raise ValueError(f"noise kind: unknown '{kind}'")
-        if kind == "zero" or Delta == 0.0:
-            return NoiseModel.zero()
-        if kind == "uniform":
-            return NoiseModel.uniform(Delta, rng)
-        return NoiseModel.adversarial_sine(Delta, omega)
-
-    @staticmethod
-    def uniform(Delta: float, rng: np.random.Generator) -> "NoiseModel":
-        if Delta < 0:
+        if self.kind not in NOISE_KINDS:
+            raise ValueError(f"noise kind: unknown '{self.kind}'")
+        if not self.Delta >= 0:
             raise ValueError("Delta: must be >= 0")
-        if rng is None:
+        if self.Delta == 0.0:
+            self.kind = "zero"
+        if self.kind == "uniform" and self.rng is None:
             raise ValueError("rng: uniform noise needs a generator")
-        return NoiseModel("uniform", Delta=float(Delta), rng=rng)
-
-    @staticmethod
-    def adversarial_sine(Delta: float, omega) -> "NoiseModel":
-        if Delta < 0:
-            raise ValueError("Delta: must be >= 0")
-        omega = _as_vector(omega, "omega")
-        return NoiseModel("adversarial_sine", Delta=float(Delta), omega=omega)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero" or self.Delta == 0.0
+        self.Delta = 0.0 if self.kind == "zero" else float(self.Delta)
+        self.omega = _as_vector(self.omega, "omega") if self.kind == "adversarial_sine" else None
+        self.rng = self.rng if self.kind == "uniform" else None
+        # samples() reads the kind from the uniform model's current block
+        # (None for the other kinds) and the zero flag
+        self._zero = self.kind == "zero"
+        self._block = np.empty(0) if self.kind == "uniform" else None
+        self._pos = 0
 
     def samples(self, X):
         """The noise of each row of the (k, dim) stack X, drawn in row order.
@@ -186,7 +165,7 @@ class NoisyZeroOrderOracle:
         self.f = f
         self.M = float(M)
         self.s = float(s)
-        self.noise = noise if noise is not None else NoiseModel.zero()
+        self.noise = noise if noise is not None else NoiseModel("zero")
         self.Delta = self.noise.Delta
         self.counters = Counters()
 
@@ -221,7 +200,7 @@ class SmoothingEstimator:
     """
 
     def __init__(self, oracle, r: float, n: int, norms: NormPair,
-                 p_star: float | None = None, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         if n < 1:
             raise ValueError("n: must be >= 1")
         if r <= 0:
@@ -232,7 +211,7 @@ class SmoothingEstimator:
         self.r = float(r)
         self.n = int(n)
         self.norms = norms
-        self.p_star = float(p_star) if p_star is not None else default_p_star(norms, n)
+        self.p_star = default_p_star(norms, n)
         self.rng = rng if rng is not None else np.random.default_rng()
         self._scale = self.n / (2.0 * self.r)
         self._rows = max(1, _BLOCK_BYTES // (24 * self.n))

@@ -185,6 +185,7 @@ def read_libsvm(path, l1: float = 0.0) -> LogRegLassoInstance:
                 labels.append(float(parts[0]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+            line_cols = set()
             for item in parts[1:]:
                 idx, _, val = item.partition(":")
                 try:
@@ -194,6 +195,11 @@ def read_libsvm(path, l1: float = 0.0) -> LogRegLassoInstance:
                     raise ValueError(f"{path}:{lineno}: bad feature entry {item!r}") from None
                 if j < 1:
                     raise ValueError(f"{path}:{lineno}: feature index {j} < 1")
+                if j in line_cols:
+                    raise ValueError(f"{path}:{lineno}: feature index {j} repeated")
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}:{lineno}: non-finite value in {item!r}")
+                line_cols.add(j)
                 rows.append(len(labels) - 1)
                 cols.append(j - 1)
                 vals.append(v)
@@ -334,7 +340,7 @@ def wire_composite(instance: L1Term, feasible: FeasibleSet, *, eps: float = 1e-3
     sugg = suggest_r_delta(eps, M, n, setup.D_X, 1.0)
     if r is not None:
         sugg["r"] = r
-    noise = NoiseModel.build(noise_kind, Delta, np.arange(1, n + 1, dtype=float), noise_rng)
+    noise = NoiseModel(noise_kind, Delta, np.arange(1, n + 1, dtype=float), noise_rng)
     oracle = NoisyZeroOrderOracle(instance.f_values, M=M, s=2.0 * sugg["r"], noise=noise)
     estimator = SmoothingEstimator(oracle, r=sugg["r"], n=n, norms=norms, rng=sphere_rng)
     problem = CompositeProblem(setup, instance.g_value, instance.g_grad, estimator,

@@ -106,7 +106,7 @@ def test_criterion_02_estimator_moments():
 
     Delta, r = 1e-3, 0.1
     noisy = NoisyZeroOrderOracle(lambda X: X @ c, M=1.0, s=10.0,
-                                 noise=NoiseModel.uniform(Delta, np.random.default_rng(12)))
+                                 noise=NoiseModel("uniform", Delta, rng=np.random.default_rng(12)))
     est_n = SmoothingEstimator(noisy, r=r, n=n, norms=norms,
                                rng=np.random.default_rng(13))
     acc = np.zeros(n)

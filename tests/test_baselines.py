@@ -112,6 +112,19 @@ def test_gd_subgradient_method_approaches_optimum():
     assert -1e-12 <= gap <= 0.2
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(N_steps=1, averaging="median"), "averaging: unknown 'median'"),
+    (dict(N_steps=-1), "N_steps: must be >= 0"),
+    (dict(N_steps=1, step_rule="geometric"), "step_rule: unknown 'geometric'"),
+    (dict(N_steps=1, eta0=0.0), "eta0: must be > 0"),
+    (dict(N_steps=1, step_rule="constant", eta0=-0.5), "eta0: must be >= 0"),
+])
+def test_baseline_config_rejects_invalid_settings_when_built(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        BaselineConfig(**kwargs)
+    assert str(err.value) == message
+
+
 def test_baseline_config_validation():
     problem = quad_problem()
     with pytest.raises(ValueError):

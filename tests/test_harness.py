@@ -23,6 +23,7 @@ from sliding_opt.harness import (EXPERIMENTS, METHODS, SEED_FREE, ConfigError, R
                                  apply_overrides, compare, config_from_metadata, from_mapping,
                                  load_config, parse_config_file, parse_metric, parse_seed_spec,
                                  read_fields, replay, run, seed_stream, validate)
+from sliding_opt.oracles import NOISE_KINDS
 from sliding_opt.sliding import SolverAbort, build_schedule, theoretical_bound
 from sliding_opt.trace import RunTrace
 from test_golden_bodies import _write_libsvm
@@ -340,6 +341,38 @@ def test_replay_from_saved_file(tmp_path):
     assert again.body_text() == RunTrace.from_csv(out).body_text()
 
 
+@pytest.mark.parametrize("experiment, method", PAIRS)
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replay_of_a_saved_run_is_byte_identical(experiment, method, data, tmp_path_factory,
+                                                  monkeypatch):
+    """run, then replay its file: over each pair with drawn moves and, where
+    the pair reads it, each noise kind."""
+    root = tmp_path_factory.mktemp("replay")
+    write_pair_data(root)
+    monkeypatch.chdir(root)
+    reads = read_fields(experiment, method)
+    cfg = pair_config(experiment, method)
+    moved = {name for name in sorted(reads & MOVES.keys() - {"out_path"})
+             if data.draw(st.booleans(), label=f"move {name}")}
+    # an edge file sets the topology and the node count
+    if "edge_file" in moved:
+        moved -= {"topology", "m"}
+    for name in sorted(moved):
+        cfg = replace(cfg, **{**CONTEXT.get(name, {}),
+                              name: data.draw(st.sampled_from(MOVES[name]), label=name)})
+    if "noise_kind" in reads:
+        cfg = replace(cfg, noise_kind=data.draw(st.sampled_from(NOISE_KINDS), label="noise"))
+    out = str(root / "trace.csv")
+    trace = run(replace(cfg, out_path=out))
+    again = replay(out)
+    assert again.body_text() == trace.body_text() == RunTrace.from_csv(out).body_text()
+    counters = ("fo_calls", "zo_calls", "comm_rounds")
+    assert ([getattr(again.final(), c) for c in counters]
+            == [getattr(trace.final(), c) for c in counters])
+
+
 def test_replay_warns_on_a_version_mismatch():
     trace = run(base_cfg(seed=11))
     with warnings.catch_warnings():
@@ -507,6 +540,35 @@ def test_gap_stays_under_reported_bound():
     trace = run(base_cfg(N=20, with_bound=True, seed=9))
     final = trace.final()
     assert final.gap_vs_reference <= final.bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from([("synthetic", "zosa"), ("nesterov", "zosa"),
+                             ("geom_median", "zosa"), ("synthetic", "mzosa")]),
+       noise_kind=st.sampled_from(NOISE_KINDS), Delta=st.sampled_from((1e-6, 1e-4, 1e-3)),
+       n=st.integers(1, 5), N=st.integers(1, 14), phases=st.integers(1, 2),
+       m=st.integers(2, 5))
+def test_seed_mean_gap_stays_under_theoretical_bound(pair, noise_kind, Delta, n, N, phases, m):
+    """The bound limits the expected gap, so every checkpoint row's gap,
+    averaged over 3 seeds, is at most the row's bound (no slack). A run whose
+    inner loop hit T_cap is outside the theorem and skipped."""
+    experiment, method = pair
+    cfg = RunConfig(experiment=experiment, method=method, n=n, with_bound=True, checkpoints=N,
+                    noise_kind=noise_kind, Delta=0.0 if noise_kind == "zero" else Delta,
+                    T_cap=2000)
+    if method == "zosa":
+        cfg = replace(cfg, N=N)
+    else:
+        cfg = replace(cfg, mu=0.1, rho0=2.0, phases=phases, N0=N)
+    if experiment == "geom_median":
+        cfg = replace(cfg, m=m, R=1.0)
+    traces = [run(replace(cfg, seed=seed)) for seed in range(3)]
+    if any(t.metadata["derived.T_cap_hit"] == "true" for t in traces):
+        return
+    for rows in zip(*(t.rows for t in traces)):
+        assert len({(row.step, row.phase, row.bound) for row in rows}) == 1
+        if rows[0].bound is not None:
+            assert sum(row.gap_vs_reference for row in rows) / 3 <= rows[0].bound
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ from sliding_opt.geometry import FeasibleSet, NormPair, make_setup
 from sliding_opt.harness import _BUILDERS, RunConfig
 from sliding_opt.network import (Graph, NetworkProblem, _LiftedOracle, build_laplacian,
                                  lift_to_penalized)
-from sliding_opt.oracles import _NOISE_BLOCK, NoiseModel, NoisyZeroOrderOracle
+from sliding_opt.oracles import _NOISE_BLOCK, NOISE_KINDS, NoiseModel, NoisyZeroOrderOracle
 from sliding_opt.problems import GeometricMedianInstance
 
-NOISE_KINDS = ("zero", "uniform", "adversarial_sine")
 # how the node values are computed: the instance's node_values on the whole
 # stack (the harness path), each geometric-median node oracle on its column,
 # or each node oracle of a generic per-node function on its column
@@ -26,8 +25,8 @@ def build_net(m, n, seed, noise_kind, terms):
     node functions."""
     rng = np.random.default_rng(seed)
     inst = GeometricMedianInstance.sample(m, n, rng)
-    noise = [NoiseModel.build(noise_kind, 0.01 * (i + 1), (i + 1.0) * np.arange(1, n + 1),
-                              np.random.default_rng([seed, i])) for i in range(m)]
+    noise = [NoiseModel(noise_kind, 0.01 * (i + 1), (i + 1.0) * np.arange(1, n + 1),
+                        np.random.default_rng([seed, i])) for i in range(m)]
     if terms == "generic":
         coefs = rng.standard_normal((m, n))
         oracles = [NoisyZeroOrderOracle(lambda X, c=c: np.add.reduce(np.abs(X - c), axis=-1),

@@ -58,20 +58,37 @@ def test_cycle_spectrum_known_values():
 
 def test_graph_validation_errors():
     with pytest.raises(GraphError, match="out of range"):
-        Graph.custom(3, [(0, 5)])
+        Graph(3, [(0, 5)])
     with pytest.raises(GraphError, match="self-loop"):
-        Graph.custom(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(GraphError, match="duplicate"):
-        Graph.custom(3, [(0, 1), (1, 0), (1, 2)])
+        Graph(3, [(0, 1), (1, 0), (1, 2)])
     with pytest.raises(GraphError, match="m: must be >= 2"):
-        Graph.custom(1, [])
+        Graph(1, [])
 
 
 def test_disconnected_graph_reports_components():
     with pytest.raises(GraphError) as err:
-        Graph.custom(4, [(0, 1), (2, 3)])
+        Graph(4, [(0, 1), (2, 3)])
     msg = str(err.value)
     assert "[0, 1]" in msg and "[2, 3]" in msg
+
+
+@pytest.mark.parametrize("m, edges, message", [
+    (4, ((0, 1),), "graph is disconnected; components: [[0, 1], [2], [3]]"),
+    (3, ((0, 5),), "edge (0,5): node out of range for m=3"),
+    (3, ((0, 0), (0, 1), (1, 2)), "edge (0,0): self-loop"),
+])
+def test_graph_constructor_rejects_an_invalid_graph(m, edges, message):
+    with pytest.raises(GraphError) as err:
+        Graph(m, edges)
+    assert str(err.value) == message
+
+
+def test_graph_constructor_stores_sorted_edges():
+    graph = Graph(3, [(2, 1), (1, 0)], "path")
+    assert (graph.m, graph.edges, graph.topology_tag) == (3, ((0, 1), (1, 2)), "path")
+    assert graph == Graph(3, ((0, 1), (2, 1)), "path")
 
 
 def test_blockwise_apply_matches_kronecker():

@@ -57,17 +57,17 @@ def test_sample_sphere_rejects_bad_dimension():
 
 def test_noise_magnitudes_respect_delta():
     rng = np.random.default_rng(5)
-    uni = NoiseModel.uniform(0.25, rng)
+    uni = NoiseModel("uniform", 0.25, rng=rng)
     X = np.zeros((500, 3))
     assert (np.abs(uni.samples(X)) <= 0.25).all()
-    sine = NoiseModel.adversarial_sine(0.1, omega=np.array([1.0, 2.0, 3.0]))
+    sine = NoiseModel("adversarial_sine", 0.1, omega=np.array([1.0, 2.0, 3.0]))
     assert (np.abs(sine.samples(rng.standard_normal((100, 3)))) <= 0.1 + 1e-15).all()
-    assert NoiseModel.zero().samples(X) == 0.0
+    assert NoiseModel("zero").samples(X) == 0.0
 
 
 def test_uniform_noise_equals_numpy_uniform_draws():
     for Delta in (1e-3, 0.7):
-        noise = NoiseModel.uniform(Delta, np.random.default_rng(31))
+        noise = NoiseModel("uniform", Delta, rng=np.random.default_rng(31))
         ref = np.random.default_rng(31)
         for k in range(1, 5):
             for _ in range(10 ** 4):
@@ -79,7 +79,7 @@ def test_uniform_noise_equals_numpy_uniform_draws():
 @given(seed=st.integers(0, 2 ** 32 - 1), Delta=st.floats(1e-12, 1e3),
        ks=st.lists(st.integers(1, 5), min_size=1, max_size=30), big=st.booleans())
 def test_uniform_noise_blocks_hand_out_one_draw_per_value_in_order(seed, Delta, ks, big):
-    noise = NoiseModel.uniform(Delta, np.random.default_rng(seed))
+    noise = NoiseModel("uniform", Delta, rng=np.random.default_rng(seed))
     ref = np.random.default_rng(seed)
     first = noise.samples(np.zeros((ks[0], 2)))
     kept = first.tolist()
@@ -96,7 +96,7 @@ def test_uniform_noise_blocks_hand_out_one_draw_per_value_in_order(seed, Delta, 
 
 
 def test_sine_noise_is_deterministic_in_x():
-    sine = NoiseModel.adversarial_sine(0.3, omega=np.array([2.0, -1.0]))
+    sine = NoiseModel("adversarial_sine", 0.3, omega=np.array([2.0, -1.0]))
     X = np.array([[0.4, 1.1], [0.4, 1.1]])
     first, again = sine.samples(X)
     assert first == again and first.tobytes() == sine.samples(X[:1]).tobytes()
@@ -104,23 +104,46 @@ def test_sine_noise_is_deterministic_in_x():
 
 def test_noise_build_is_zero_for_zero_kind_or_zero_delta():
     omega, rng = np.array([1.0, 2.0]), np.random.default_rng(0)
-    assert NoiseModel.build("zero", 0.5, omega, rng).kind == "zero"
+    assert NoiseModel("zero", 0.5, omega, rng).kind == "zero"
     for kind in ("uniform", "adversarial_sine"):
-        assert NoiseModel.build(kind, 0.0, omega, rng).kind == "zero"
-        built = NoiseModel.build(kind, 0.5, omega, rng)
+        assert NoiseModel(kind, 0.0, omega, rng).kind == "zero"
+        built = NoiseModel(kind, 0.5, omega, rng)
         assert (built.kind, built.Delta) == (kind, 0.5)
-    assert NoiseModel.build("uniform", 0.5, omega, rng).rng is rng
-    assert NoiseModel.build("adversarial_sine", 0.5, omega, rng).omega.tolist() == [1.0, 2.0]
+    assert NoiseModel("uniform", 0.5, omega, rng).rng is rng
+    assert NoiseModel("adversarial_sine", 0.5, omega, rng).omega.tolist() == [1.0, 2.0]
 
 
 def test_noise_build_rejects_an_unknown_kind():
     omega, rng = np.array([1.0, 2.0]), np.random.default_rng(0)
     for Delta in (0.0, 0.5):
         with pytest.raises(ValueError, match="'unifrom'"):
-            NoiseModel.build("unifrom", Delta, omega, rng)
+            NoiseModel("unifrom", Delta, omega, rng)
     inst, feasible = make_strongly_convex_instance(2, 0)
     with pytest.raises(ValueError, match="'gaussian'"):
         wire_composite(inst, feasible, Delta=1e-3, noise_kind="gaussian")
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("uniform", 0.1), {}, "rng: uniform noise needs a generator"),
+    (("unifrom", 0.1), {}, "noise kind: unknown 'unifrom'"),
+    (("adversarial_sine", 0.1), {}, "omega: expected a 1-d vector, got shape ()"),
+    (("uniform", -1.0), {"rng": np.random.default_rng(0)}, "Delta: must be >= 0"),
+])
+def test_noise_constructor_rejects_an_invalid_model(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        NoiseModel(*args, **kwargs)
+    assert str(err.value) == message
+
+
+def test_noise_constructor_keeps_only_the_fields_its_kind_reads():
+    omega, rng = np.array([1.0, 2.0]), np.random.default_rng(0)
+    for kind, Delta in (("zero", 0.5), ("uniform", 0.0), ("adversarial_sine", 0)):
+        zero = NoiseModel(kind, Delta, omega, rng)
+        assert (zero.kind, zero.Delta, zero.omega, zero.rng) == ("zero", 0.0, None, None)
+    uniform = NoiseModel("uniform", 1, omega, rng)
+    assert (uniform.Delta, uniform.omega, uniform.rng) == (1.0, None, rng)
+    sine = NoiseModel("adversarial_sine", 0.5, [1, 2], rng)
+    assert (sine.omega.tolist(), sine.rng) == ([1.0, 2.0], None)
 
 
 # -- oracle ------------------------------------------------------------------
@@ -145,7 +168,7 @@ def test_oracle_without_noise_adds_zero():
 
 def test_oracle_noise_stays_within_delta():
     rng = np.random.default_rng(17)
-    oracle = make_oracle(lambda X: X[:, 0] ** 2, noise=NoiseModel.uniform(1e-2, rng))
+    oracle = make_oracle(lambda X: X[:, 0] ** 2, noise=NoiseModel("uniform", 1e-2, rng=rng))
     X = rng.standard_normal((300, 1))
     assert (np.abs(oracle.evaluate(X) - X[:, 0] ** 2) <= 1e-2).all()
 
@@ -170,7 +193,7 @@ def test_stacked_evaluate_equals_the_serial_per_point_values(kind, n, k, seed, D
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(n)
     omega = np.arange(1, n + 1, dtype=float)
-    noise = NoiseModel.build(kind, Delta, omega, np.random.default_rng([seed, 1]))
+    noise = NoiseModel(kind, Delta, omega, np.random.default_rng([seed, 1]))
     ref_rng = np.random.default_rng([seed, 1])
     oracle = make_oracle(lambda X: np.add.reduce(np.abs(X - c), axis=-1), noise=noise)
     for _ in range(calls):
@@ -307,7 +330,7 @@ def test_vecdot_sites_equal_the_one_row_kernels(n, seed, exponent):
     # sine noise: Delta sin(<omega, x> / Delta) with <omega, x> the 1-d omega @ x
     omega, X = rng.standard_normal(n), D[0]
     want = [0.5 * float(np.sin(float(omega @ x) / 0.5)) for x in X]
-    assert _bits(NoiseModel.adversarial_sine(0.5, omega).samples(X)) == _bits(want)
+    assert _bits(NoiseModel("adversarial_sine", 0.5, omega).samples(X)) == _bits(want)
     # estimator: each direction is sample_sphere's g / sqrt(g @ g), queried at x +- r e
     est = SmoothingEstimator(_RecordingOracle(), r=0.3, n=n, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(seed))
@@ -373,7 +396,7 @@ def test_estimator_second_moment_bound_linear_objective():
     M = float(np.linalg.norm(c))
     Delta, r = 1e-3, 0.05
     oracle = make_oracle(lambda X: X @ c, M=M,
-                         noise=NoiseModel.uniform(Delta, np.random.default_rng(9)))
+                         noise=NoiseModel("uniform", Delta, rng=np.random.default_rng(9)))
     est = SmoothingEstimator(oracle, r=r, n=n, norms=NormPair.euclidean(),
                              rng=np.random.default_rng(10))
     samples = 2 * 10 ** 4

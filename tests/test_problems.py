@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sliding_opt
+from sliding_opt.cli import main
 from sliding_opt.oracles import NoiseModel
 from sliding_opt.problems import (GeometricMedianInstance, LogRegLassoInstance,
                                   NesterovLassoInstance, SeparableLassoInstance,
@@ -56,7 +57,7 @@ def test_weiszfeld_beats_centroid_and_is_stationary():
 
 def test_node_oracles_share_lipschitz_and_noise():
     inst = GeometricMedianInstance(2, 1, np.array([[0.0], [2.0]]))
-    noise = [NoiseModel.zero(), NoiseModel.uniform(0.5, np.random.default_rng(0))]
+    noise = [NoiseModel("zero"), NoiseModel("uniform", 0.5, rng=np.random.default_rng(0))]
     oracles = inst.make_node_oracles(s=0.1, noise_models=noise)
     assert [o.M for o in oracles] == [1.0, 1.0]
     assert oracles[0].evaluate(np.array([[1.0], [3.0]])) == pytest.approx([1.0, 3.0])
@@ -149,6 +150,31 @@ def test_read_libsvm_label_conventions(tmp_path):
     mixed.write_text("1 1:1\n3 1:2\n")
     with pytest.raises(ValueError, match="label set"):
         read_libsvm(mixed)
+
+
+def _logreg_exit_code(tmp_path, dataset) -> int:
+    config = tmp_path / "logreg.conf"
+    config.write_text(f"experiment = logreg\nmethod = zosa\nN = 2\ndataset = {dataset}\n")
+    return main(["run", "--config", str(config)])
+
+
+def test_read_libsvm_rejects_a_repeated_feature_index(tmp_path, capsys):
+    path = tmp_path / "dup.libsvm"
+    path.write_text("-1 1:2.0\n1 3:1.0 3:2.0\n")
+    with pytest.raises(ValueError, match=r"dup\.libsvm:2: feature index 3 repeated"):
+        read_libsvm(path)
+    assert _logreg_exit_code(tmp_path, path) == 2
+    assert "dup.libsvm:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_read_libsvm_rejects_a_non_finite_value(value, tmp_path, capsys):
+    path = tmp_path / "bad.libsvm"
+    path.write_text(f"-1 1:2.0\n1 1:1.0\n1 2:{value}\n")
+    with pytest.raises(ValueError, match=rf"bad\.libsvm:3: non-finite value in '2:{value}'"):
+        read_libsvm(path)
+    assert _logreg_exit_code(tmp_path, path) == 2
+    assert "bad.libsvm:3" in capsys.readouterr().err
 
 
 def test_read_libsvm_errors_carry_line_numbers(tmp_path):

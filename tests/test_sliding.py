@@ -485,7 +485,7 @@ def test_theoretical_bound_clean_limit_matches_hand_value():
 def test_theoretical_bound_includes_smoothing_and_noise_terms():
     norms = NormPair.euclidean()
     setup = make_setup(norms, FeasibleSet.ball2(np.zeros(4), 1.0), "half_sq_euclid")
-    noise = NoiseModel.uniform(1e-3, np.random.default_rng(1))
+    noise = NoiseModel("uniform", 1e-3, rng=np.random.default_rng(1))
     oracle = NoisyZeroOrderOracle(lambda X: np.zeros(len(X)), M=2.0, s=1.0, noise=noise)
     est = SmoothingEstimator(oracle, r=0.05, n=4, norms=norms,
                              rng=np.random.default_rng(0))
